@@ -13,17 +13,11 @@ import random
 from dataclasses import dataclass
 
 from .graphs import DIRECTED, UNDIRECTED, Graph, build_graph
-from .kernel import (
-    NIMG_VARIANTS,
-    VARIANTS,
-    Convention,
-    Position,
-    apply_move,
-    legal_moves,
-)
+from .kernel import NIMG_VARIANTS, VARIANTS, Convention, Position
+from .polysolve import StrategyBreakdown
 from .posfile import serialize_position
 from .reductions import REDUCTIONS, ReductionOutput
-from .search import DEFAULT_BUDGET, Outcome, Policy, solve
+from .search import DEFAULT_BUDGET, Outcome, Policy, _Engine, solve
 
 LOOP_MODES = ("none", "all", "free")
 
@@ -152,28 +146,44 @@ def verify_strategy(
     """Certify a claimed winning policy against every adversary line.
 
     Fixes the policy's move wherever the policy is to move and branches over
-    all replies.  True iff every leaf is a terminal where the adversary-to-
-    move loses under `c`; None when the node budget runs out (indeterminate,
-    never reported as false).
+    all replies, visiting each distinct (position, side to move) node once.
+    True iff every line ends at a terminal where the adversary-to-move loses
+    under `c`.  False when some line does not, when the policy plays an
+    illegal move, or when it raises StrategyBreakdown.  None when more than
+    `budget` distinct nodes would be needed (indeterminate, never reported as
+    false).
     """
+    engine = _Engine(p.variant, p.graph)
+    root = (engine.key(p), True)
+    seen = {root}
+    stack = [root]
     expanded = 0
-    stack: list[tuple[Position, bool]] = [(p, True)]
     while stack:
-        pos, policy_to_move = stack.pop()
+        key, policy_to_move = stack.pop()
         expanded += 1
         if expanded > budget:
             return None
-        moves = legal_moves(pos)
-        if not moves:
-            mover_loses = c is Convention.NORMAL
-            adversary_to_move = not policy_to_move
-            if not (mover_loses == adversary_to_move):
+        # the policy's side needs the moves, the adversary's only the keys
+        children = engine.moves(key) if policy_to_move else engine.succ(key)
+        if not children:
+            # the player to move at a terminal loses exactly under normal play
+            if policy_to_move == (c is Convention.NORMAL):
                 return False
             continue
         if policy_to_move:
-            stack.append((apply_move(pos, policy.choose(pos)), False))
-        else:
-            stack.extend((apply_move(pos, m), True) for m in moves)
+            try:
+                move = policy.choose(engine.position(key))
+            except StrategyBreakdown:
+                return False
+            child = dict(children).get(move)
+            if child is None:  # not a legal move here
+                return False
+            children = [child]
+        for child in children:
+            node = (child, not policy_to_move)
+            if node not in seen:
+                seen.add(node)
+                stack.append(node)
     return True
 
 

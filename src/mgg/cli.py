@@ -12,7 +12,7 @@ import random
 import sys
 import time
 
-from .arena import mix_seed, run_reduction_grid, verify_strategy, write_counterexample
+from .arena import mix_seed, run_reduction_grid, write_counterexample
 from .graphs import Bipartition, Graph
 from .kernel import (
     EGEO,

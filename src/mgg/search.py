@@ -46,7 +46,12 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class Policy:
-    """Deterministic move advice for the winning side of an N position."""
+    """Deterministic move advice for the winning side of an N position.
+
+    `choose` must be a pure function of the `Position` it is given: the
+    strategy certifier asks it once per distinct position and reuses the
+    answer wherever that position recurs.
+    """
 
     choose: Callable[[Position], Move]
     provenance: str  # matching-following | loop-stalling | exhaustive
@@ -64,19 +69,23 @@ def _egeo_out_arcs(g: Graph) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 def state_key(p: Position):
     """Canonical packed encoding, injective among positions sharing a root."""
+    if p.variant == VGEO and p.graph.n > BITSET_CAP:
+        raise CapacityError(f"vgeo bitset limited to {BITSET_CAP} vertices")
+    if p.variant == EGEO and len(p.graph.edges) > BITSET_CAP:
+        raise CapacityError(f"egeo bitset limited to {BITSET_CAP} arcs")
+    return _pack(p)
+
+
+def _pack(p: Position):
+    """`state_key` without the bitset cap, for walks that never index a table."""
     if p.variant in (NIMG_RM, NIMG_MR):
         return (p.weights, p.current)
     if p.variant == VGEO:
-        if p.graph.n > BITSET_CAP:
-            raise CapacityError(f"vgeo bitset limited to {BITSET_CAP} vertices")
         mask = (1 << p.graph.n) - 1
         for v in p.removed_vertices:
             mask &= ~(1 << v)
         return (mask, p.current)
-    m = len(p.graph.edges)
-    if m > BITSET_CAP:
-        raise CapacityError(f"egeo bitset limited to {BITSET_CAP} arcs")
-    mask = (1 << m) - 1
+    mask = (1 << len(p.graph.edges)) - 1
     if p.removed_edges:
         index = {e: i for i, e in enumerate(p.graph.edges)}
         for e in p.removed_edges:
@@ -85,21 +94,21 @@ def state_key(p: Position):
 
 
 class _Engine:
-    """Successor generation over packed keys for one variant/graph pair."""
+    """Successor generation over packed keys for one variant/graph pair.
+
+    The engine itself has no size cap: the bitset contract is enforced by
+    `state_key` and the search entry points, so the strategy certifier can
+    walk geography positions of any size.
+    """
 
     def __init__(self, variant: str, graph: Graph):
         self.variant = variant
         self.graph = graph
         self.adj = graph.adjacency
-        if variant == VGEO and graph.n > BITSET_CAP:
-            raise CapacityError(f"vgeo bitset limited to {BITSET_CAP} vertices")
         if variant == EGEO:
-            if len(graph.edges) > BITSET_CAP:
-                raise CapacityError(f"egeo bitset limited to {BITSET_CAP} arcs")
             self.out_arcs = _egeo_out_arcs(graph)
 
-    def key(self, p: Position):
-        return state_key(p)
+    key = staticmethod(_pack)
 
     def succ(self, key) -> list:
         variant = self.variant
@@ -127,12 +136,33 @@ class _Engine:
             (mask & ~(1 << i), v) for v, i in self.out_arcs[cur] if mask >> i & 1
         ]
 
-    def moves(self, p: Position) -> list[tuple[Move, object]]:
-        """Canonically ordered (move, child key) pairs for a full position."""
-        from .kernel import legal_moves
+    def moves(self, key) -> list[tuple[Move, object]]:
+        """Canonically ordered (move, child key) pairs, decoded from succ(key).
 
-        key = self.key(p)
-        return list(zip(legal_moves(p), self.succ(key)))
+        A nimg-rm child carries the new weight of the departed vertex, a
+        nimg-mr child that of the destination; geography moves name only the
+        destination.
+        """
+        children = self.succ(key)
+        if self.variant == NIMG_RM:
+            cur = key[1]
+            return [(Move(v, wts[cur]), (wts, v)) for wts, v in children]
+        if self.variant == NIMG_MR:
+            return [(Move(v, wts[v]), (wts, v)) for wts, v in children]
+        return [(Move(child[1]), child) for child in children]
+
+    def position(self, key) -> Position:
+        """The full position a key encodes, on this engine's graph."""
+        g = self.graph
+        if self.variant in (NIMG_RM, NIMG_MR):
+            wts, cur = key
+            return Position(self.variant, g, cur, wts)
+        mask, cur = key
+        if self.variant == VGEO:
+            dead = frozenset(v for v in range(g.n) if not mask >> v & 1)
+            return Position(VGEO, g, cur, removed_vertices=dead)
+        dead = frozenset(e for i, e in enumerate(g.edges) if not mask >> i & 1)
+        return Position(EGEO, g, cur, removed_edges=dead)
 
 
 def _solve_packed(engine: _Engine, root_key, mover_wins_terminal: bool,
@@ -195,14 +225,15 @@ def solve_with_table(p: Position, c: Convention, budget: int = DEFAULT_BUDGET):
     """Like solve(), but also returns the transposition table for inspection."""
     if budget <= 0:
         raise ValueError("budget must be positive")
+    root = state_key(p)
     engine = _Engine(p.variant, p.graph)
     mover_wins_terminal = c is Convention.MISERE
-    win, expanded, table = _solve_packed(engine, engine.key(p), mover_wins_terminal, budget)
+    win, expanded, table = _solve_packed(engine, root, mover_wins_terminal, budget)
     if win is None:
         return SolveReport(None, None, expanded, True), table
     principal = None
     if win:
-        for move, child in engine.moves(p):
+        for move, child in engine.moves(root):
             if table.get(child) is False:
                 principal = move
                 break
@@ -216,17 +247,18 @@ def extract_strategy(p: Position, c: Convention, budget: int = DEFAULT_BUDGET) -
     The returned policy owns a private transposition table shared across its
     own queries, and answers with the canonically-first winning move.
     """
+    root = state_key(p)
     engine = _Engine(p.variant, p.graph)
     mover_wins_terminal = c is Convention.MISERE
     table: dict = {}
-    win, _, _ = _solve_packed(engine, engine.key(p), mover_wins_terminal, budget, table)
+    win, _, _ = _solve_packed(engine, root, mover_wins_terminal, budget, table)
     if win is None:
         raise CapacityError("budget exhausted before the root position was solved")
     if not win:
         raise ValueError("extract_strategy requires an N position")
 
     def choose(q: Position) -> Move:
-        for move, child in engine.moves(q):
+        for move, child in engine.moves(state_key(q)):
             r = table.get(child)
             if r is None:
                 r, _, _ = _solve_packed(engine, child, mover_wins_terminal, budget, table)

@@ -10,6 +10,8 @@ import random
 
 from mgg.graphs import Graph, build_graph
 from mgg.kernel import Convention, Position, apply_move, legal_moves
+from mgg.polysolve import StrategyBreakdown
+from mgg.search import Policy
 
 
 def naive_outcome(p: Position, c: Convention) -> str:
@@ -21,6 +23,30 @@ def naive_outcome(p: Position, c: Convention) -> str:
         if naive_outcome(apply_move(p, m), c) == "P":
             return "N"
     return "P"
+
+
+def naive_certify(p: Position, c: Convention, policy: Policy) -> bool:
+    """Certify `policy` for the mover at `p` by walking the full game tree.
+
+    Plain recursion with no transposition handling.  The policy wins iff
+    every line ends at a terminal where the adversary is to move and loses
+    under `c`; an illegal move or a StrategyBreakdown loses.
+    """
+
+    def wins(pos: Position, policy_to_move: bool) -> bool:
+        moves = legal_moves(pos)
+        if not moves:
+            # the stuck player loses under normal play and wins under misere
+            return policy_to_move == (c is Convention.MISERE)
+        if not policy_to_move:
+            return all(wins(apply_move(pos, m), True) for m in moves)
+        try:
+            move = policy.choose(pos)
+        except StrategyBreakdown:
+            return False
+        return move in moves and wins(apply_move(pos, move), False)
+
+    return wins(p, True)
 
 
 def count_reachable(p: Position, limit: int = 10_000) -> int:

@@ -1,6 +1,8 @@
 import os
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mgg.arena import (
     check_reduction,
@@ -13,9 +15,15 @@ from mgg.arena import (
 )
 from mgg.graphs import build_graph
 from mgg.kernel import Convention, Move, Position, legal_moves
-from mgg.polysolve import solve_bipartite_rm_misere
+from mgg.polysolve import (
+    StrategyBreakdown,
+    solve_bipartite_rm_misere,
+    solve_vgeo_undirected_normal,
+)
 from mgg.reductions import REDUCTIONS
-from mgg.search import Outcome, Policy, extract_strategy, solve
+from mgg.search import BITSET_CAP, Outcome, Policy, extract_strategy, solve, state_key
+from oracles import count_reachable, naive_certify
+from strategies import any_fresh_position
 
 MIS = Convention.MISERE
 NORM = Convention.NORMAL
@@ -139,6 +147,68 @@ def test_verify_strategy_budget_indeterminate():
     assert solve(p, MIS).outcome is Outcome.N
     policy = extract_strategy(p, MIS)
     assert verify_strategy(p, MIS, policy, budget=2) is None
+
+
+def test_verify_strategy_rejects_illegal_move():
+    g = build_graph("undirected", 3, [(0, 1), (1, 2)])
+    p = Position("vgeo", g, 1)
+    assert solve(p, NORM).outcome is Outcome.N
+    stay = Policy(lambda q: Move(q.current), "exhaustive")
+    assert verify_strategy(p, NORM, stay) is False
+
+
+def test_verify_strategy_rejects_strategy_breakdown():
+    g = build_graph("undirected", 2, [(0, 1)])
+    p = Position("vgeo", g, 0)
+
+    def choose(q):
+        raise StrategyBreakdown(f"token vertex {q.current} is unmatched")
+
+    assert verify_strategy(p, NORM, Policy(choose, "matching-following")) is False
+
+
+def test_verify_strategy_has_no_bitset_cap():
+    n = 150
+    path = build_graph("undirected", n, [(i, i + 1) for i in range(n - 1)])
+    p = Position("vgeo", path, 41)
+    outcome, policy = solve_vgeo_undirected_normal(p)
+    assert outcome is Outcome.N
+    assert verify_strategy(p, NORM, policy) is True
+    # edge geography past the cap: one arc out of the start leads to a dead
+    # end, beside a complete digraph that play can never reach
+    arcs = [(0, 1)] + [(i, j) for i in range(2, 14) for j in range(2, 14) if i != j]
+    assert len(arcs) > BITSET_CAP
+    q = Position("egeo", build_graph("directed", 14, arcs), 0)
+    step = Policy(lambda r: Move(1), "exhaustive")
+    assert verify_strategy(q, NORM, step) is True
+    assert verify_strategy(q, MIS, step) is False
+
+
+def _hashed_policy(salt: int) -> Policy:
+    """Deterministic but arbitrary: some breakdowns, some illegal moves."""
+
+    def choose(q):
+        h = hash((salt, state_key(q)))
+        if h % 7 == 0:
+            raise StrategyBreakdown("hashed breakdown")
+        if h % 5 == 0:
+            return Move(h % q.graph.n, h % 3 if q.weights else None)
+        moves = legal_moves(q)
+        return moves[h % len(moves)]
+
+    return Policy(choose, "exhaustive")
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_fresh_position(max_n=4, wmax=2), st.sampled_from(list(Convention)),
+       st.integers(0, 1 << 16))
+def test_verify_strategy_agrees_with_tree_oracle(p, conv, salt):
+    assume(count_reachable(p, limit=60) <= 60)
+    policies = [_hashed_policy(salt)]
+    if solve(p, conv).outcome is Outcome.N:
+        policies.append(extract_strategy(p, conv))
+    for policy in policies:
+        assert verify_strategy(p, conv, policy) == naive_certify(p, conv, policy)
 
 
 def test_extracted_strategies_certify_across_random_suite():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mgg.graphs import build_graph
 from mgg.kernel import (
@@ -10,17 +11,19 @@ from mgg.kernel import (
     Position,
     apply_move,
     legal_moves,
+    successors,
 )
 from mgg.search import (
     CapacityError,
     Outcome,
+    _Engine,
     extract_strategy,
     solve,
     solve_with_table,
     state_key,
 )
 from oracles import count_reachable, naive_outcome
-from strategies import any_fresh_position
+from strategies import any_fresh_position, geo_positions, nimg_positions
 
 MIS = Convention.MISERE
 NORM = Convention.NORMAL
@@ -100,6 +103,32 @@ def test_bitset_capacity_errors():
     wide = build_graph("directed", 130, [(i, j) for i in range(12) for j in range(12) if i != j][:129])
     with pytest.raises(CapacityError):
         state_key(Position("egeo", wide, 0))
+
+
+@st.composite
+def played_positions(draw):
+    """Any variant on either graph kind, a few plies into the game."""
+    variant = draw(st.sampled_from(["nimg-rm", "nimg-mr", "vgeo", "egeo"]))
+    directed = draw(st.booleans())
+    if variant.startswith("nimg"):
+        p = draw(nimg_positions(variant=variant, max_n=4, wmax=3, min_weight=0,
+                                directed=directed))
+    else:
+        p = draw(geo_positions(variant=variant, max_n=5, directed=directed))
+    for pick in draw(st.lists(st.integers(0, 1 << 8), max_size=4)):
+        moves = legal_moves(p)
+        if not moves:
+            break
+        p = apply_move(p, moves[pick % len(moves)])
+    return p
+
+
+@settings(max_examples=300, deadline=None)
+@given(played_positions())
+def test_engine_moves_agree_with_kernel(p):
+    engine = _Engine(p.variant, p.graph)
+    decoded = [(m, engine.position(k)) for m, k in engine.moves(state_key(p))]
+    assert decoded == successors(p)
 
 
 def test_budget_exhaustion_is_reported_not_wrong():
