@@ -153,7 +153,7 @@ def verify_strategy(
     `budget` distinct nodes would be needed (indeterminate, never reported as
     false).
     """
-    engine = _Engine(p.variant, p.graph)
+    engine = _Engine(p)
     root = (engine.key(p), True)
     seen = {root}
     stack = [root]

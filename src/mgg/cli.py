@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract: 0 solved/agree, 1 input error, 2 budget
 exhausted or indeterminate, 3 disagreement found, 4 requested method not
-applicable, 5 infeasible grid.
+applicable (including a position beyond the exhaustive solver's 128-vertex
+or 128-arc bitset cap), 5 infeasible grid.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .polysolve import (
 )
 from .posfile import PositionParseError, read_position, write_position
 from .reductions import REDUCTIONS
-from .search import DEFAULT_BUDGET, Outcome, Policy, solve
+from .search import DEFAULT_BUDGET, CapacityError, Outcome, Policy, solve
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -107,6 +108,11 @@ def _load(path: str):
         return None
 
 
+def _capacity_error(exc: CapacityError) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return EXIT_NOT_APPLICABLE
+
+
 def cmd_solve(args) -> int:
     loaded = _load(args.position)
     if loaded is None:
@@ -126,7 +132,10 @@ def cmd_solve(args) -> int:
     if solved:
         move = policy.choose(pos) if outcome is Outcome.N and legal_moves(pos) else None
     else:
-        report = solve(pos, conv, args.budget)
+        try:
+            report = solve(pos, conv, args.budget)
+        except CapacityError as exc:
+            return _capacity_error(exc)
         if report.budget_exhausted:
             print(f"budget exhausted after {report.states_expanded} states")
             return EXIT_BUDGET
@@ -209,6 +218,8 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"infeasible grid: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except CapacityError as exc:
+        return _capacity_error(exc)
     total = agreed + disagreements + indeterminate
     print(f"summary: {agreed}/{total} agree, {indeterminate} indeterminate")
     if disagreements:
@@ -307,7 +318,10 @@ def cmd_play(args) -> int:
                 except (ValueError, IllegalMoveError) as exc:
                     print(f"illegal move: {exc}")
         else:
-            move = _engine_move(pos, conv, args.method, args.budget)
+            try:
+                move = _engine_move(pos, conv, args.method, args.budget)
+            except CapacityError as exc:
+                return _capacity_error(exc)
             print(f"engine plays: {format_move(pos.variant, move)}")
             pos = apply_move(pos, move)
         human_turn = not human_turn

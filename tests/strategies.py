@@ -40,10 +40,12 @@ def nimg_positions(
 
 
 @st.composite
-def geo_positions(draw, variant=VGEO, max_n=5, directed=None):
+def geo_positions(draw, variant=VGEO, max_n=5, directed=None, allow_loops=None):
     if directed is None:
         directed = draw(st.booleans())
-    g = draw(graphs(max_n=max_n, directed=directed, allow_loops=(variant == EGEO)))
+    if allow_loops is None:
+        allow_loops = variant == EGEO
+    g = draw(graphs(max_n=max_n, directed=directed, allow_loops=allow_loops))
     current = draw(st.integers(0, g.n - 1))
     return Position(variant, g, current)
 

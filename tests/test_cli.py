@@ -124,6 +124,38 @@ def test_solve_budget_exhausted(tmp_path, capsys):
     assert "budget exhausted" in capsys.readouterr().out
 
 
+def test_solve_budget_one_on_heavy_weights(tmp_path, capsys):
+    heavy = EDGE_BIP.replace("w 0 1", "w 0 3000000")
+    code = main(
+        ["solve", write(tmp_path, "p.pos", heavy), "--method", "exhaustive",
+         "--budget", "1"]
+    )
+    assert code == EXIT_BUDGET
+    assert "budget exhausted after 1 states" in capsys.readouterr().out
+
+
+def _long_path_file(tmp_path):
+    n = 130
+    lines = ["mgg-pos 1", "game vgeo", "convention normal", "kind digraph",
+             f"vertices {n}", f"edges {n - 1}", "start 0"]
+    lines += [f"e {i} {i + 1}" for i in range(n - 1)]
+    return write(tmp_path, "path.pos", "\n".join(lines) + "\n")
+
+
+def test_capacity_error_is_not_applicable(tmp_path, capsys, monkeypatch):
+    path = _long_path_file(tmp_path)
+    code = main(["solve", path, "--method", "exhaustive"])
+    err = capsys.readouterr().err
+    assert code == EXIT_NOT_APPLICABLE
+    assert err.startswith("error: ") and "128" in err
+    assert len(err.strip().splitlines()) == 1
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    code = main(["play", path, "--method", "exhaustive", "--engine-first"])
+    err = capsys.readouterr().err
+    assert code == EXIT_NOT_APPLICABLE
+    assert err.startswith("error: ") and "128" in err
+
+
 def test_reduce_writes_target_and_namemap(tmp_path, capsys):
     out_path = str(tmp_path / "out.pos")
     code = main(["reduce", "vgeo-dir", write(tmp_path, "t.pos", VGEO_TRI), out_path])

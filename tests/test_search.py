@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -62,6 +63,8 @@ def test_state_key_injective_on_weights():
     a = Position("nimg-rm", g, 0, (1, 1))
     b = Position("nimg-rm", g, 0, (1, 2))
     assert state_key(a) != state_key(b)
+    with pytest.raises(ValueError):  # b's weight 2 overflows a's 1-bit fields
+        _Engine(a).key(b)
 
 
 def test_state_key_canonical_across_move_orders():
@@ -89,9 +92,12 @@ def test_state_key_canonical_across_move_orders():
 def test_state_key_ignores_removed_vertices():
     g = build_graph("directed", 3, [(0, 1), (1, 2)])
     p = apply_move(Position("vgeo", g, 0), Move(1))
-    mask, cur = state_key(p)
+    engine = _Engine(p)
+    key = state_key(p)
+    mask, cur = key >> engine.sh, key & engine.cur_mask
     assert cur == 1
     assert mask == 0b110  # bit for the departed vertex is gone
+    assert engine.position(key) == p
 
 
 def test_bitset_capacity_errors():
@@ -114,7 +120,9 @@ def played_positions(draw):
         p = draw(nimg_positions(variant=variant, max_n=4, wmax=3, min_weight=0,
                                 directed=directed))
     else:
-        p = draw(geo_positions(variant=variant, max_n=5, directed=directed))
+        # loops too: a vgeo loop is no move, an egeo loop is one
+        p = draw(geo_positions(variant=variant, max_n=5, directed=directed,
+                               allow_loops=True))
     for pick in draw(st.lists(st.integers(0, 1 << 8), max_size=4)):
         moves = legal_moves(p)
         if not moves:
@@ -126,8 +134,8 @@ def played_positions(draw):
 @settings(max_examples=300, deadline=None)
 @given(played_positions())
 def test_engine_moves_agree_with_kernel(p):
-    engine = _Engine(p.variant, p.graph)
-    decoded = [(m, engine.position(k)) for m, k in engine.moves(state_key(p))]
+    engine = _Engine(p)
+    decoded = [(m, engine.position(k)) for m, k in engine.moves(engine.key(p))]
     assert decoded == successors(p)
 
 
@@ -139,6 +147,21 @@ def test_budget_exhaustion_is_reported_not_wrong():
     assert report.outcome is None
     assert report.principal_move is None
     assert report.states_expanded == 5
+
+
+def test_budget_bounds_work_and_memory_on_heavy_weights():
+    # 3e6 moves at the root: only the first child may be built
+    g = build_graph("undirected", 2, [(0, 1)])
+    p = Position("nimg-rm", g, 0, (3_000_000, 1))
+    tracemalloc.start()
+    try:
+        report = solve(p, MIS, budget=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.budget_exhausted
+    assert report.states_expanded == 1
+    assert peak < 8 << 20
 
 
 @settings(max_examples=150, deadline=None)
@@ -164,14 +187,14 @@ def test_convention_flips_terminals_and_nothing_else(p):
     assert (solve(p, NORM).outcome is Outcome.N) == valued(p, False)
 
 
-def _reachable_positions(p, cap=4000):
-    seen = {state_key(p): p}
+def _reachable_positions(p, key, cap=4000):
+    seen = {key(p): p}
     frontier = [p]
     while frontier:
         q = frontier.pop()
         for m in legal_moves(q):
             r = apply_move(q, m)
-            k = state_key(r)
+            k = key(r)
             if k not in seen:
                 seen[k] = r
                 frontier.append(r)
@@ -186,11 +209,12 @@ def test_memo_entries_satisfy_outcome_recursion():
     p = Position("nimg-rm", g, 0, (2, 2, 2, 2, 2))
     report, table = solve_with_table(p, MIS)
     assert report.outcome is not None
-    reachable = _reachable_positions(p)
+    root_key = _Engine(p).key  # table keys come from the root's engine
+    reachable = _reachable_positions(p, root_key)
     keys = [k for k in table if k in reachable]
     for key in rng.sample(keys, min(1000, len(keys))):
         pos = reachable[key]
-        children = [state_key(apply_move(pos, m)) for m in legal_moves(pos)]
+        children = [root_key(apply_move(pos, m)) for m in legal_moves(pos)]
         solved = [table[c] for c in children if c in table]
         if not children:  # misere terminal: the mover wins
             assert table[key] is True
@@ -240,3 +264,37 @@ def test_extracted_strategy_never_loses():
                 walk(apply_move(pos, m), True)
 
     walk(p, True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(played_positions(), st.sampled_from(list(Convention)))
+def test_engine_tables_satisfy_negamax_recursion(p, conv):
+    engine = _Engine(p)
+    report, table = solve_with_table(p, conv)
+    assert report.outcome is not None
+    assert table[engine.key(p)] is (report.outcome is Outcome.N)
+    for key, win in table.items():
+        pos = engine.position(key)
+        children = [table.get(engine.key(apply_move(pos, m))) for m in legal_moves(pos)]
+        if not children:  # the stuck mover wins exactly under misere
+            assert win is (conv is MIS)
+        elif win:  # a win must exhibit a losing child
+            assert False in children
+        else:  # a loss must have every child solved as a win
+            assert all(r is True for r in children)
+
+
+@settings(max_examples=200, deadline=None)
+@given(played_positions())
+def test_engine_keys_round_trip(p):
+    engine = _Engine(p)
+    root = engine.key(p)
+    assert engine.position(root) == p
+    seen, frontier = {root}, [root]
+    while frontier and len(seen) < 2000:
+        key = frontier.pop()
+        assert engine.key(engine.position(key)) == key
+        for c in engine.succ(key):
+            if c not in seen:
+                seen.add(c)
+                frontier.append(c)
