@@ -47,6 +47,7 @@ from .reductions import (
     reduce_vgeo_dir_to_undir_misere,
 )
 from .search import (
+    BudgetExhausted,
     CapacityError,
     Outcome,
     Policy,

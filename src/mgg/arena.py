@@ -13,11 +13,11 @@ import random
 from dataclasses import dataclass
 
 from .graphs import DIRECTED, UNDIRECTED, Graph, build_graph
-from .kernel import NIMG_VARIANTS, VARIANTS, Convention, Position
+from .kernel import NIMG_VARIANTS, VARIANTS, Convention, Position, _Engine
 from .polysolve import StrategyBreakdown
 from .posfile import serialize_position
 from .reductions import REDUCTIONS, ReductionOutput
-from .search import DEFAULT_BUDGET, Outcome, Policy, _Engine, solve
+from .search import DEFAULT_BUDGET, Outcome, Policy, solve
 
 LOOP_MODES = ("none", "all", "free")
 
@@ -163,9 +163,7 @@ def verify_strategy(
         expanded += 1
         if expanded > budget:
             return None
-        # the policy's side needs the moves, the adversary's only the keys
-        children = engine.moves(key) if policy_to_move else engine.succ(key)
-        if not children:
+        if not engine.move_bits(key):
             # the player to move at a terminal loses exactly under normal play
             if policy_to_move == (c is Convention.NORMAL):
                 return False
@@ -175,10 +173,12 @@ def verify_strategy(
                 move = policy.choose(engine.position(key))
             except StrategyBreakdown:
                 return False
-            child = dict(children).get(move)
+            child = engine.after(key, move)
             if child is None:  # not a legal move here
                 return False
             children = [child]
+        else:
+            children = engine.succ(key)
         for child in children:
             node = (child, not policy_to_move)
             if node not in seen:

@@ -25,6 +25,7 @@ from .kernel import (
     Move,
     Position,
     apply_move,
+    is_terminal,
     legal_moves,
 )
 from .matching import max_matching_bipartite_with_phases
@@ -130,7 +131,7 @@ def cmd_solve(args) -> int:
                 print(f"not applicable: {exc}", file=sys.stderr)
                 return EXIT_NOT_APPLICABLE
     if solved:
-        move = policy.choose(pos) if outcome is Outcome.N and legal_moves(pos) else None
+        move = policy.choose(pos) if outcome is Outcome.N and not is_terminal(pos) else None
     else:
         try:
             report = solve(pos, conv, args.budget)
@@ -295,7 +296,7 @@ def cmd_play(args) -> int:
     human_turn = not args.engine_first
     while True:
         _print_board(pos, conv, human_turn)
-        if not legal_moves(pos):
+        if is_terminal(pos):
             stuck = "you" if human_turn else "engine"
             if conv is Convention.NORMAL:
                 winner = "engine" if human_turn else "you"

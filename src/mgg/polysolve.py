@@ -22,7 +22,7 @@ to the exhaustive solver; genuine contract violations raise ValueError.
 from __future__ import annotations
 
 from .graphs import Graph, bipartition, connected_component, induced_subgraph
-from .kernel import NIMG_RM, VGEO, Move, Position, apply_move
+from .kernel import NIMG_RM, VGEO, Move, Position
 from .matching import (
     covered_by_all_maximum_matchings,
     max_matching_bipartite,
@@ -239,10 +239,12 @@ def solve_loops_rm_misere(p: Position) -> tuple[Outcome, Policy | None]:
         if w[cur] == 0:
             raise ValueError("terminal position: the mover has already won")
         if w[cur] >= 2:
+            drained = w[:cur] + (0,) + w[cur + 1:]
             for v in r.graph.adjacency[cur]:
                 if v == cur:
                     continue
-                if _loops_outcome(apply_move(r, Move(v, 0))) is Outcome.P:
+                # the position Move(v, 0) leads to
+                if _loops_outcome(Position(NIMG_RM, r.graph, v, drained)) is Outcome.P:
                     return Move(v, 0)
             return Move(cur, 1)  # stall: keep one token, stay on the loop
         comp, cur_id, to_old = _light_component(r)

@@ -1,17 +1,52 @@
 """Independent reference implementations the tests check the package against.
 
 Everything here is deliberately naive: plain recursion, full enumeration.
-None of it shares code with the solvers under test.
+None of it shares code with the solvers under test: the move rules below
+read and rebuild `Position` fields directly, without the package's engine.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from mgg.graphs import Graph, build_graph
-from mgg.kernel import Convention, Position, apply_move, legal_moves
+from mgg.kernel import Convention, Move, Position
 from mgg.polysolve import StrategyBreakdown
 from mgg.search import Policy
+
+
+def legal_moves(p: Position) -> list[Move]:
+    """The moves of `p`, ascending by destination, then by new weight."""
+    g, cur = p.graph, p.current
+    nbrs = g.adjacency[cur]
+    if p.variant == "nimg-rm":
+        # with no neighbour at all the pointer stays put
+        return [Move(v, k) for v in nbrs or (cur,) for k in range(p.weights[cur])]
+    if p.variant == "nimg-mr":
+        return [Move(v, k) for v in nbrs for k in range(p.weights[v])]
+    if p.variant == "vgeo":
+        return [Move(v) for v in nbrs if v != cur and v not in p.removed_vertices]
+    return [Move(v) for v in nbrs if _arc(p, v) not in p.removed_edges]
+
+
+def _arc(p: Position, to: int) -> tuple[int, int]:
+    """The graph edge a geography token crosses from the current vertex."""
+    if p.graph.directed:
+        return (p.current, to)
+    return (min(p.current, to), max(p.current, to))
+
+
+def apply_move(p: Position, m: Move) -> Position:
+    """The position after `m`, which must be one of legal_moves(p)."""
+    if p.variant in ("nimg-rm", "nimg-mr"):
+        lowered = p.current if p.variant == "nimg-rm" else m.to
+        weights = list(p.weights)
+        weights[lowered] = m.k
+        return replace(p, current=m.to, weights=tuple(weights))
+    if p.variant == "vgeo":
+        return replace(p, current=m.to, removed_vertices=p.removed_vertices | {p.current})
+    return replace(p, current=m.to, removed_edges=p.removed_edges | {_arc(p, m.to)})
 
 
 def naive_outcome(p: Position, c: Convention) -> str:

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import pytest
 
@@ -132,6 +133,24 @@ def test_solve_budget_one_on_heavy_weights(tmp_path, capsys):
     )
     assert code == EXIT_BUDGET
     assert "budget exhausted after 1 states" in capsys.readouterr().out
+
+
+def test_heavy_weights_do_not_enumerate_moves(tmp_path, capsys, monkeypatch):
+    # auto solve and play only ask whether the position is terminal
+    path = write(tmp_path, "p.pos", EDGE_BIP.replace("w 0 1", "w 0 3000000"))
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    tracemalloc.start()
+    try:
+        solved = main(["solve", path])
+        played = main(["play", path, "--engine-first"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert solved == EXIT_OK
+    assert played == EXIT_INPUT  # the engine moved, then stdin ran dry
+    out = capsys.readouterr().out
+    assert "outcome N" in out and "engine plays: 0 1" in out
+    assert peak < 8 << 20
 
 
 def _long_path_file(tmp_path):

@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -136,6 +138,42 @@ def test_apply_rejects_illegal_moves():
             apply_move(p, bad)
     with pytest.raises(IllegalMoveError):
         apply_move(Position("vgeo", build_graph("directed", 2, [(0, 1)]), 0), Move(0))
+    mr = Position("nimg-mr", g, 0, (2, 1, 1))
+    for bad in (Move(1, 1), Move(2, 0), Move(0, 0), Move(1)):
+        with pytest.raises(IllegalMoveError):
+            apply_move(mr, bad)
+    eg = Position("egeo", g, 0)
+    used = apply_move(eg, Move(1))
+    for pos, bad in ((eg, Move(1, 0)), (eg, Move(2)), (used, Move(0)), (used, Move(1))):
+        with pytest.raises(IllegalMoveError):  # a weight, a non-edge, a used edge
+            apply_move(pos, bad)
+
+
+def test_legal_moves_is_linear_in_its_output():
+    # a bit-by-bit decode of the 400_000-bit move set takes ~30x longer
+    p = Position("nimg-rm", build_graph("undirected", 2, [(0, 1)]), 0, (400_000, 1))
+    t0 = time.perf_counter()
+    moves = legal_moves(p)
+    elapsed = time.perf_counter() - t0
+    assert moves == [Move(1, k) for k in range(400_000)]
+    assert elapsed < 5
+
+
+def test_apply_and_terminal_do_not_enumerate_moves():
+    # 3e6 moves at the pointer: listing them would take hundreds of MiB
+    p = Position("nimg-rm", build_graph("undirected", 2, [(0, 1)]), 0, (3_000_000, 1))
+    tracemalloc.start()
+    try:
+        terminal = is_terminal(p)
+        q = apply_move(p, Move(1, 2_999_999))
+        with pytest.raises(IllegalMoveError):
+            apply_move(p, Move(1, 3_000_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not terminal
+    assert q == Position("nimg-rm", p.graph, 1, (2_999_999, 1))
+    assert peak < 8 << 20
 
 
 def test_position_validation():

@@ -6,24 +6,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mgg.graphs import build_graph
-from mgg.kernel import (
-    Convention,
-    Move,
-    Position,
-    apply_move,
-    legal_moves,
-    successors,
-)
+from mgg.kernel import Convention, Move, Position, _Engine, successors
 from mgg.search import (
+    BudgetExhausted,
     CapacityError,
     Outcome,
-    _Engine,
     extract_strategy,
     solve,
     solve_with_table,
     state_key,
 )
-from oracles import count_reachable, naive_outcome
+from oracles import apply_move, count_reachable, legal_moves, naive_outcome
 from strategies import any_fresh_position, geo_positions, nimg_positions
 
 MIS = Convention.MISERE
@@ -136,7 +129,9 @@ def played_positions(draw):
 def test_engine_moves_agree_with_kernel(p):
     engine = _Engine(p)
     decoded = [(m, engine.position(k)) for m, k in engine.moves(engine.key(p))]
-    assert decoded == successors(p)
+    expected = [(m, apply_move(p, m)) for m in legal_moves(p)]
+    assert decoded == expected
+    assert successors(p) == expected  # the kernel's view of the same engine
 
 
 def test_budget_exhaustion_is_reported_not_wrong():
@@ -224,6 +219,14 @@ def test_memo_entries_satisfy_outcome_recursion():
             assert len(solved) == len(children) and all(solved)
 
 
+def test_extract_strategy_budget_exhaustion_is_not_a_capacity_error():
+    g = build_graph("undirected", 4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    p = Position("nimg-rm", g, 0, (2, 1, 2, 1))
+    with pytest.raises(BudgetExhausted) as info:
+        extract_strategy(p, MIS, budget=1)
+    assert not isinstance(info.value, CapacityError)
+
+
 def test_solve_is_deterministic():
     g = build_graph("undirected", 4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     p = Position("nimg-rm", g, 0, (2, 1, 2, 1))
@@ -258,7 +261,9 @@ def test_extracted_strategy_never_loses():
             assert policy_to_move
             return
         if policy_to_move:
-            walk(apply_move(pos, policy.choose(pos)), False)
+            move = policy.choose(pos)
+            assert move in moves
+            walk(apply_move(pos, move), False)
         else:
             for m in moves:
                 walk(apply_move(pos, m), True)
