@@ -25,8 +25,8 @@ from .kernel import (
     Move,
     Position,
     apply_move,
+    first_move,
     is_terminal,
-    legal_moves,
 )
 from .matching import max_matching_bipartite_with_phases
 from .polysolve import (
@@ -273,13 +273,13 @@ def _engine_move(pos: Position, conv: Convention, method: str, budget: int) -> M
             outcome, policy, _ = poly_solve(pos, conv)
             if outcome is Outcome.N:
                 return policy.choose(pos)
-            return legal_moves(pos)[0]  # losing anyway: play on
+            return first_move(pos)  # losing anyway: play on
         except NotApplicable:
             pass
     report = solve(pos, conv, budget)
     if report.outcome is Outcome.N:
         return report.principal_move
-    return legal_moves(pos)[0]
+    return first_move(pos)
 
 
 def cmd_play(args) -> int:

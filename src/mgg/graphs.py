@@ -71,13 +71,15 @@ class Graph:
         return (u, v) in self.edge_set
 
     def has_loop(self, u: int) -> bool:
-        return (u, u) in self.edge_set
+        return u in self.loop_vertices
 
     @cached_property
     def loop_vertices(self) -> frozenset[int]:
         return frozenset(u for u, v in self.edges if u == v)
 
     def without_loops(self) -> "Graph":
+        if not self.loop_vertices:
+            return self
         return Graph(self.n, tuple(e for e in self.edges if e[0] != e[1]), self.directed)
 
 
@@ -158,11 +160,16 @@ class Relabeling:
 
 
 def induced_subgraph(g: Graph, keep) -> tuple[Graph, Relabeling]:
-    """Subgraph on `keep`, relabelled to dense ids in ascending old-id order."""
+    """Subgraph on `keep`, relabelled to dense ids in ascending old-id order.
+
+    Keeping every vertex returns `g` itself.
+    """
     kept = sorted(set(keep))
     if kept and not (0 <= kept[0] and kept[-1] < g.n):
         raise ValueError("keep set contains vertices outside the graph")
     relab = Relabeling(tuple(kept))
+    if len(kept) == g.n:  # every vertex: the identity relabelling of g itself
+        return g, relab
     keep_set = set(kept)
     edges = [
         (relab.to_new(u), relab.to_new(v))

@@ -26,13 +26,14 @@ the token:
   ``B*v``, where ``B`` is the bit length of the root's largest weight
   (weights only decrease, so every descendant fits).
 
-Each variant gives four closures: ``move_bits(key)``, an int whose set bits
+Each variant gives five closures: ``move_bits(key)``, an int whose set bits
 are the legal moves, lowest bit canonically first (the destination for
 vgeo, the arc index for egeo, ``j << B | k`` for the j-th target and new
 weight ``k`` for nimg); ``child(key, bit)``, the key one move leads to;
-``decode(key)``, the legal `Move`s in canonical order; and
+``decode(key)``, the legal `Move`s in canonical order;
 ``encode(key, move)``, the move's bit index, or None when no move of that
-shape exists.  `legal_moves`, `apply_move`, `is_terminal` and `successors`
+shape exists; and ``move(key, i)``, the `Move` of bit index ``i``.
+`legal_moves`, `apply_move`, `is_terminal`, `first_move` and `successors`
 are views over one engine rooted at their position; the solver in
 `mgg.search` walks the same engine.
 """
@@ -131,7 +132,10 @@ def _vgeo_rules(e: _Engine):
     def encode(key, m):
         return m.to if m.k is None and m.to >= 0 else None
 
-    return move_bits, child, decode, encode
+    def move(key, i):
+        return Move(i)
+
+    return move_bits, child, decode, encode, move
 
 
 def _egeo_rules(e: _Engine):
@@ -157,10 +161,10 @@ def _egeo_rules(e: _Engine):
 
     def decode(key):
         # at most deg(cur) bits are set, so taking them one at a time is cheap
-        cur, rem, moves = key & cm, move_bits(key), []
+        rem, moves = move_bits(key), []
         while rem:
             bit = rem & -rem
-            moves.append(Move(ends[bit.bit_length() - 1] - cur))
+            moves.append(move(key, bit.bit_length() - 1))
             rem ^= bit
         return moves
 
@@ -170,11 +174,14 @@ def _egeo_rules(e: _Engine):
         i = bisect_left(g.edges, arc)
         return i if m.k is None and g.edges[i:i + 1] == (arc,) else None
 
-    return move_bits, child, decode, encode
+    def move(key, i):
+        return Move(ends[i] - (key & cm))
+
+    return move_bits, child, decode, encode, move
 
 
 def _nimg_labels(e: _Engine, targets, move_bits):
-    """decode and encode for the nimg bit ``j << B | k``: target j, weight k."""
+    """decode, encode and move for the nimg bit ``j << B | k``: target j, weight k."""
     b, cm = e.field, e.cur_mask
     stride = 1 << b
     segment = (1 << stride) - 1
@@ -192,7 +199,10 @@ def _nimg_labels(e: _Engine, targets, move_bits):
             return None
         return j << b | m.k
 
-    return decode, encode
+    def move(key, i):
+        return Move(targets[key & cm][i >> b], i & (stride - 1))
+
+    return decode, encode, move
 
 
 def _nimg_rm_rules(e: _Engine):
@@ -262,7 +272,8 @@ class _Engine:
         if root.variant in NIMG_VARIANTS:
             self.field = b = max(1, max(root.weights).bit_length())
             self.offsets = [sh + b * v for v in range(g.n)]
-        self.move_bits, self.child, self.decode, self.encode = _RULES[root.variant](self)
+        self.move_bits, self.child, self.decode, self.encode, self.move = (
+            _RULES[root.variant](self))
 
     def key(self, p: Position) -> int:
         """Packed key of `p`, a position reachable from the engine's root."""
@@ -297,6 +308,18 @@ class _Engine:
     def moves(self, key: int) -> list[tuple[Move, int]]:
         """Canonically ordered (move, child key) pairs."""
         return list(zip(self.decode(key), self.succ(key)))
+
+    def first(self, key: int, wins=None) -> Move | None:
+        """Canonically first move whose child key satisfies `wins` (any move
+        when None), or None.  Builds one child at a time and decodes only the
+        move it returns."""
+        child, rem = self.child, self.move_bits(key)
+        while rem:
+            bit = rem & -rem
+            if wins is None or wins(child(key, bit)):
+                return self.move(key, bit.bit_length() - 1)
+            rem ^= bit
+        return None
 
     def after(self, key: int, m: Move) -> int | None:
         """Key of the position `m` leads to, or None if `m` is illegal at `key`."""
@@ -333,6 +356,12 @@ def apply_move(p: Position, m: Move) -> Position:
     if child is None:
         raise IllegalMoveError(f"illegal {p.variant} move {m}")
     return e.position(child)
+
+
+def first_move(p: Position) -> Move | None:
+    """``legal_moves(p)[0]`` without listing the others; None when terminal."""
+    e = _Engine(p)
+    return e.first(e.key(p))
 
 
 def is_terminal(p: Position) -> bool:

@@ -8,9 +8,18 @@ Three routes with one result type:
   speed, since only bipartite inputs carry the fast-bound claim;
 * subset enumeration as a brute-force oracle for graphs with few edges.
 
+The coverage query "does every maximum matching cover u?" takes the
+caller's maximum matching and one more blossom search, rooted at u's mate in
+G - u (`covered_by_all_maximum_matchings`), so a solver computes one maximum
+matching and uses it for both its criterion and its policy.  The general
+matcher and the coverage query share `find_augmenting_path`: a blossom
+contraction relabels the members of the blossom only, not every vertex, so
+a search costs in proportion to the tree it grows.
+
 Loops are stripped before matching; a loop can never be in a matching.
-Augmenting searches scan vertices in ascending order, so every route is
-deterministic.
+Augmenting searches scan vertices in ascending order, and a contraction
+queues the blossom's new outer vertices in ascending order, so every route
+is deterministic.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
-from .graphs import Bipartition, Graph, bipartition, induced_subgraph
+from .graphs import Bipartition, Graph
 
 BRUTE_FORCE_EDGE_CAP = 24
 
@@ -150,19 +159,23 @@ def _hopcroft_karp(n: int, left: list[int], adj: list[list[int]]):
     return match, phases
 
 
-def _bipartite_match(g: Graph, b: Bipartition):
-    _require_undirected(g)
-    _check_bipartition(g, b)
+def _adjacency(g: Graph, skip: int = -1) -> list[list[int]]:
+    """Ascending neighbour lists without loops, and without vertex `skip`."""
     adj: list[list[int]] = [[] for _ in range(g.n)]
     for u, v in g.edges:
-        if u == v:
+        if u == v or u == skip or v == skip:
             continue
         adj[u].append(v)
         adj[v].append(u)
     for lst in adj:
         lst.sort()
-    left = sorted(b.left)
-    return _hopcroft_karp(g.n, left, adj)
+    return adj
+
+
+def _bipartite_match(g: Graph, b: Bipartition):
+    _require_undirected(g)
+    _check_bipartition(g, b)
+    return _hopcroft_karp(g.n, sorted(b.left), _adjacency(g))
 
 
 def max_matching_bipartite(g: Graph, b: Bipartition) -> Matching:
@@ -175,119 +188,127 @@ def max_matching_bipartite_with_phases(g: Graph, b: Bipartition) -> tuple[Matchi
     return Matching(_mate_array(match)), phases
 
 
+def find_augmenting_path(adj: list[list[int]], match: list[int], root: int) -> list[int] | None:
+    """Edmonds' blossom search for an augmenting path from exposed `root`.
+
+    `match[v]` is v's mate or -1.  Returns the path as ``[end, p(end), ...,
+    root]``, where flipping each pair ``(path[2i], path[2i+1])`` to matched
+    augments `match`, or None when no augmenting path starts at `root`.
+    `match` is not modified.  A contraction relabels only the members of the
+    blossom it contracts, in ascending id order.
+    """
+    n = len(adj)
+    parent = [-1] * n
+    base = list(range(n))
+    used = [False] * n  # outer vertices, the ones queued for scanning
+    used[root] = True
+    members: dict[int, list[int]] = {}  # contracted base -> vertices with that base
+    queue = deque([root])
+
+    def lca(a: int, b: int) -> int:
+        seen = set()
+        while True:
+            a = base[a]
+            seen.add(a)
+            if match[a] < 0:
+                break
+            a = parent[match[a]]
+        while True:
+            b = base[b]
+            if b in seen:
+                return b
+            b = parent[match[b]]
+
+    def mark_path(v: int, ancestor: int, child: int, blossom: set[int]) -> None:
+        while base[v] != ancestor:
+            blossom.add(base[v])
+            blossom.add(base[match[v]])
+            parent[v] = child
+            child = match[v]
+            v = parent[match[v]]
+
+    while queue:
+        v = queue.popleft()
+        for to in adj[v]:
+            if base[v] == base[to] or match[v] == to:
+                continue
+            if to == root or (match[to] >= 0 and parent[match[to]] >= 0):
+                # odd cycle: contract the blossom around the common base
+                ancestor = lca(v, to)
+                blossom: set[int] = set()
+                mark_path(v, ancestor, to, blossom)
+                mark_path(to, ancestor, v, blossom)
+                # the ancestor's own members are outer already and keep their base
+                blossom.discard(ancestor)
+                absorbed = sorted([i for b in blossom for i in members.pop(b, (b,))])
+                for i in absorbed:
+                    base[i] = ancestor
+                    if not used[i]:
+                        used[i] = True
+                        queue.append(i)
+                members.setdefault(ancestor, [ancestor]).extend(absorbed)
+            elif parent[to] < 0:
+                parent[to] = v
+                if match[to] < 0:
+                    path = []
+                    while to >= 0:
+                        path += (to, parent[to])
+                        to = match[parent[to]]
+                    return path
+                used[match[to]] = True
+                queue.append(match[to])
+    return None
+
+
 def max_matching_general(g: Graph) -> Matching:
     """Blossom-contraction matching on an arbitrary undirected graph."""
     _require_undirected(g)
-    n = g.n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in g.edges:
-        if u == v:
-            continue
-        adj[u].append(v)
-        adj[v].append(u)
-    for lst in adj:
-        lst.sort()
-
-    match = [-1] * n
-    for u in range(n):  # deterministic greedy seed
+    adj = _adjacency(g)
+    match = [-1] * g.n
+    for u in range(g.n):  # deterministic greedy seed
         if match[u] < 0:
             for v in adj[u]:
                 if match[v] < 0:
                     match[u] = v
                     match[v] = u
                     break
-
-    parent = [-1] * n
-    base = list(range(n))
-
-    def lca(a: int, b: int) -> int:
-        seen = [False] * n
-        x = a
-        while True:
-            x = base[x]
-            seen[x] = True
-            if match[x] < 0:
-                break
-            x = parent[match[x]]
-        y = b
-        while True:
-            y = base[y]
-            if seen[y]:
-                return y
-            y = parent[match[y]]
-
-    def mark_path(v: int, ancestor: int, child: int, in_blossom: list[bool]) -> None:
-        while base[v] != ancestor:
-            in_blossom[base[v]] = True
-            in_blossom[base[match[v]]] = True
-            parent[v] = child
-            child = match[v]
-            v = parent[match[v]]
-
-    def find_augmenting_path(root: int) -> int:
-        for i in range(n):
-            parent[i] = -1
-            base[i] = i
-        used = [False] * n
-        used[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for to in adj[v]:
-                if base[v] == base[to] or match[v] == to:
-                    continue
-                if to == root or (match[to] >= 0 and parent[match[to]] >= 0):
-                    # odd cycle: contract the blossom around the common base
-                    ancestor = lca(v, to)
-                    in_blossom = [False] * n
-                    mark_path(v, ancestor, to, in_blossom)
-                    mark_path(to, ancestor, v, in_blossom)
-                    for i in range(n):
-                        if in_blossom[base[i]]:
-                            base[i] = ancestor
-                            if not used[i]:
-                                used[i] = True
-                                queue.append(i)
-                elif parent[to] < 0:
-                    parent[to] = v
-                    if match[to] < 0:
-                        return to
-                    used[match[to]] = True
-                    queue.append(match[to])
-        return -1
-
-    for root in range(n):
-        if match[root] >= 0:
-            continue
-        v = find_augmenting_path(root)
-        while v >= 0:
-            pv = parent[v]
-            next_v = match[pv]
-            match[v] = pv
-            match[pv] = v
-            v = next_v
-
+    for root in range(g.n):
+        if match[root] < 0:
+            path = find_augmenting_path(adj, match, root) or ()
+            for a, b in zip(path[::2], path[1::2]):
+                match[a] = b
+                match[b] = a
     return Matching(_mate_array(match))
 
 
-def covered_by_all_maximum_matchings(g: Graph, u: int, b: Bipartition | None = None) -> bool:
-    """True iff nu(G - u) < nu(G), i.e. every maximum matching covers u.
+def covered_by_all_maximum_matchings(g: Graph, u: int, matching: Matching | None = None) -> bool:
+    """True iff every maximum matching of `g` covers u, i.e. nu(G - u) < nu(G).
 
-    With a bipartition the two sizes come from the layered bipartite matcher,
-    keeping the advertised O(sqrt(V) * E) route; otherwise blossom matching is
-    used.
+    `matching` is a maximum matching M of `g`, by default
+    `max_matching_general(g)`; the answer needs no second one.  If M misses
+    u, the answer is False.  Otherwise let u' be u's mate and M' = M - uu',
+    a matching of G - u of size nu(G) - 1.  Since nu(G - u) >= nu(G) - 1, u
+    is covered by every maximum matching iff M' is maximum in G - u, iff
+    (Berge) G - u has no M'-augmenting path.  The vertices M' leaves exposed
+    in G - u are those M leaves exposed, plus u'.  A path between two
+    M-exposed vertices has M'-matched inner vertices, so it avoids u' (and
+    u), alternates with respect to M as well and would augment M in G,
+    contradicting maximality: every M'-augmenting path ends at u'.  So one
+    blossom search rooted at u' decides (Edmonds).  On bipartite graphs that
+    search never meets an odd cycle and costs O(V + E), so the bipartite
+    solver keeps its O(sqrt(V) * E) bound.
     """
     _require_undirected(g)
     if not 0 <= u < g.n:
         raise ValueError(f"vertex {u} outside graph")
-    sub, _ = induced_subgraph(g, set(range(g.n)) - {u})
-    if b is None:
-        full = max_matching_general(g).size
-        without = max_matching_general(sub).size
-    else:
-        full = max_matching_bipartite(g, b).size
-        without = max_matching_bipartite(sub, bipartition(sub)).size
-    return without < full
+    if matching is None:
+        matching = max_matching_general(g)
+    mate = matching.mate[u]
+    if mate is None:
+        return False
+    match = [-1 if v is None else v for v in matching.mate]
+    match[u] = match[mate] = -1
+    return find_augmenting_path(_adjacency(g, skip=u), match, mate) is None
 
 
 def brute_force_matching_size(g: Graph) -> int:

@@ -77,9 +77,9 @@ def solve_vgeo_undirected_normal(p: Position) -> tuple[Outcome, Policy | None]:
     sub, relab = induced_subgraph(p.graph, live)
     sub = sub.without_loops()
     cur = relab.to_new(p.current)
-    if not covered_by_all_maximum_matchings(sub, cur):
-        return Outcome.P, None
     matching = max_matching_general(sub)
+    if not covered_by_all_maximum_matchings(sub, cur, matching):
+        return Outcome.P, None
     mate = {
         relab.to_old(u): relab.to_old(v)
         for u, v in enumerate(matching.mate)
@@ -160,9 +160,9 @@ def solve_bipartite_rm_misere(p: Position) -> tuple[Outcome, Policy | None]:
     if not p.graph.adjacency[p.current]:
         return _degenerate_pile(p)
     cur = q.current
-    if not covered_by_all_maximum_matchings(q.graph, cur, b):
-        return Outcome.P, None
     matching = max_matching_bipartite(q.graph, b)
+    if not covered_by_all_maximum_matchings(q.graph, cur, matching):
+        return Outcome.P, None
     mate = {
         relab.to_old(u): relab.to_old(v)
         for u, v in enumerate(matching.mate)
@@ -205,7 +205,7 @@ def _loops_outcome(r: Position) -> Outcome:
     if q.weights[q.current] >= 2:
         return Outcome.N
     comp, cur, _ = _light_component(r)
-    covered = covered_by_all_maximum_matchings(comp, cur)
+    covered = covered_by_all_maximum_matchings(comp, cur, max_matching_general(comp))
     return Outcome.N if covered else Outcome.P
 
 

@@ -147,12 +147,7 @@ def solve_with_table(p: Position, c: Convention, budget: int = DEFAULT_BUDGET):
     win, expanded, table = _solve_packed(engine, root, mover_wins_terminal, budget)
     if win is None:
         return SolveReport(None, None, expanded, True), table
-    principal = None
-    if win:
-        for move, child in engine.moves(root):
-            if table.get(child) is False:
-                principal = move
-                break
+    principal = engine.first(root, lambda child: table.get(child) is False) if win else None
     outcome = Outcome.N if win else Outcome.P
     return SolveReport(outcome, principal, expanded, False), table
 
@@ -176,15 +171,18 @@ def extract_strategy(p: Position, c: Convention, budget: int = DEFAULT_BUDGET) -
     if not win:
         raise ValueError("extract_strategy requires an N position")
 
-    def choose(q: Position) -> Move:
-        for move, child in engine.moves(engine.key(q)):
-            r = table.get(child)
+    def lost(child: int) -> bool:
+        r = table.get(child)
+        if r is None:
+            r, _, _ = _solve_packed(engine, child, mover_wins_terminal, budget, table)
             if r is None:
-                r, _, _ = _solve_packed(engine, child, mover_wins_terminal, budget, table)
-                if r is None:
-                    raise BudgetExhausted("budget exhausted while advising a move")
-            if r is False:
-                return move
-        raise ValueError("no winning move: position is not an N position")
+                raise BudgetExhausted("budget exhausted while advising a move")
+        return not r
+
+    def choose(q: Position) -> Move:
+        move = engine.first(engine.key(q), lost)
+        if move is None:
+            raise ValueError("no winning move: position is not an N position")
+        return move
 
     return Policy(choose, "exhaustive")

@@ -138,18 +138,26 @@ def test_solve_budget_one_on_heavy_weights(tmp_path, capsys):
 def test_heavy_weights_do_not_enumerate_moves(tmp_path, capsys, monkeypatch):
     # auto solve and play only ask whether the position is terminal
     path = write(tmp_path, "p.pos", EDGE_BIP.replace("w 0 1", "w 0 3000000"))
-    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    # a leaf of the path 0-1-2 is lost: the engine falls back to the first move
+    lost = write(tmp_path, "lost.pos", EDGE_BIP.replace("w 0 1", "w 0 3000000")
+                 .replace("vertices 2\nedges 1", "vertices 3\nedges 2")
+                 .replace("w 1 1\n", "w 1 1\nw 2 1\ne 1 2\n"))
     tracemalloc.start()
     try:
         solved = main(["solve", path])
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
         played = main(["play", path, "--engine-first"])
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        played_lost = main(["play", lost, "--engine-first"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert solved == EXIT_OK
-    assert played == EXIT_INPUT  # the engine moved, then stdin ran dry
+    assert played == played_lost == EXIT_INPUT  # the engine moved, then stdin ran dry
     out = capsys.readouterr().out
-    assert "outcome N" in out and "engine plays: 0 1" in out
+    assert "outcome N" in out and out.count("engine plays: 0 1") == 2
+    assert main(["solve", lost]) == EXIT_OK
+    assert "outcome P" in capsys.readouterr().out
     assert peak < 8 << 20
 
 

@@ -55,6 +55,8 @@ def test_loops_are_ordinary_edges():
     assert not g.has_loop(1)
     assert g.neighbors(0) == (0, 1)
     assert g.without_loops().edges == ((0, 1),)
+    loop_free = g.without_loops()
+    assert loop_free.without_loops() is loop_free
 
 
 def test_bipartition_path():
@@ -92,7 +94,7 @@ def test_bipartition_iff_no_odd_closed_walk(g):
 def test_induced_identity():
     g = build_graph("undirected", 3, [(0, 1), (1, 2)])
     sub, relab = induced_subgraph(g, range(3))
-    assert sub == g
+    assert sub is g  # no copy of the same graph
     assert [relab.to_old(v) for v in range(3)] == [0, 1, 2]
 
 

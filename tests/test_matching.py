@@ -117,6 +117,26 @@ def test_covered_matches_enumeration(g):
         assert covered_by_all_maximum_matchings(g, u) == covered_by_all_oracle(g, u)
 
 
+def _disjoint_union(g, h):
+    edges = list(g.edges) + [(u + g.n, v + g.n) for u, v in h.edges]
+    return build_graph("undirected", g.n + h.n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=5, allow_loops=True), graphs(max_n=4, allow_loops=True))
+def test_coverage_from_the_callers_matching(g, h):
+    # one maximum matching from either matcher, on g and on a disconnected union
+    for graph in (g, _disjoint_union(g, h)):
+        matchings = [max_matching_general(graph)]
+        b = bipartition(graph)
+        if b is not None:
+            matchings.append(max_matching_bipartite(graph, b))
+        for u in range(graph.n):
+            expected = covered_by_all_oracle(graph, u)
+            for m in matchings:
+                assert covered_by_all_maximum_matchings(graph, u, m) == expected
+
+
 @settings(max_examples=250, deadline=None)
 @given(graphs(max_n=8, allow_loops=True))
 def test_matchers_agree_with_brute_force(g):

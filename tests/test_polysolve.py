@@ -253,3 +253,50 @@ def test_loop_moves_never_help_at_weight_one():
             solve(Position("nimg-rm", bare, s, w), MIS).outcome
             == solve(Position("nimg-rm", looped, s, w), MIS).outcome
         )
+
+
+# ------------------------------------------------------- one matching a solve
+
+def _count_matchers(monkeypatch):
+    """Record every maximum-matcher call, through any module's global."""
+    import mgg.matching as matching
+    import mgg.polysolve as polysolve
+
+    calls = []
+    for name in ("max_matching_general", "max_matching_bipartite"):
+        def counted(*args, _orig=getattr(matching, name), _name=name):
+            calls.append(_name)
+            return _orig(*args)
+
+        for mod in (matching, polysolve):
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_each_matching_solve_runs_one_maximum_matching(monkeypatch):
+    from mgg.polysolve import _loops_outcome
+
+    calls = _count_matchers(monkeypatch)
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(40):
+        g = random_connected_bipartite(rng.randrange(2, 8), rng)
+        s = rng.randrange(g.n)
+        looped = build_graph("undirected", g.n, g.edges + tuple((v, v) for v in range(g.n)))
+        heavy = tuple(rng.randrange(1, 3) for _ in range(g.n))
+        cases = [
+            (solve_vgeo_undirected_normal, Position("vgeo", g, s), "general"),
+            (solve_weight1_rm_misere, Position("nimg-rm", g, s, (1,) * g.n), "general"),
+            (solve_bipartite_rm_misere, Position("nimg-rm", g, s, heavy), "bipartite"),
+            (solve_loops_rm_misere,
+             Position("nimg-rm", looped, s, heavy[:s] + (1,) + heavy[s + 1:]), "general"),
+        ]
+        for solver, p, matcher in cases:
+            calls.clear()
+            outcomes.add(solver(p)[0])
+            assert calls == [f"max_matching_{matcher}"], solver.__name__
+            if solver is solve_loops_rm_misere:
+                calls.clear()
+                _loops_outcome(p)
+                assert calls == ["max_matching_general"]
+    assert outcomes == {Outcome.N, Outcome.P}

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mgg.graphs import build_graph
-from mgg.kernel import Convention, Move, Position, _Engine, successors
+from mgg.kernel import Convention, Move, Position, _Engine, first_move, successors
 from mgg.search import (
     BudgetExhausted,
     CapacityError,
@@ -132,6 +133,29 @@ def test_engine_moves_agree_with_kernel(p):
     expected = [(m, apply_move(p, m)) for m in legal_moves(p)]
     assert decoded == expected
     assert successors(p) == expected  # the kernel's view of the same engine
+
+
+@settings(max_examples=300, deadline=None)
+@given(played_positions())
+def test_engine_move_decodes_each_bit(p):
+    engine = _Engine(p)
+    key = engine.key(p)
+    bits = engine.move_bits(key)
+    by_bit = [engine.move(key, i) for i in range(bits.bit_length()) if bits >> i & 1]
+    assert by_bit == legal_moves(p)
+    assert first_move(p) == (by_bit[0] if by_bit else None)
+
+
+def test_principal_move_builds_one_child_at_a_time():
+    # 100_000 moves at the root; building them all bit by bit took over a second
+    p = Position("nimg-rm", build_graph("undirected", 2, [(0, 1)]), 0, (100_000, 1))
+    t0 = time.perf_counter()
+    report = solve(p, MIS)
+    advised = extract_strategy(p, MIS).choose(p)
+    elapsed = time.perf_counter() - t0
+    assert report.outcome is Outcome.N and report.states_expanded == 3
+    assert report.principal_move == advised == Move(1, 0)
+    assert elapsed < 0.5
 
 
 def test_budget_exhaustion_is_reported_not_wrong():
