@@ -1,5 +1,9 @@
 """Command-line front end: solve, reduce, verify, bench, play.
 
+`solve` and the engine side of `play` share one answer path: the matching
+router `polysolve.poly_solve` first, the exhaustive search when it declines
+(`--method` picks either alone).
+
 Exit codes are a stable contract: 0 solved/agree, 1 input error, 2 budget
 exhausted or indeterminate, 3 disagreement found, 4 requested method not
 applicable (including a position beyond the exhaustive solver's 128-vertex
@@ -19,7 +23,6 @@ from .kernel import (
     EGEO,
     NIMG_MR,
     NIMG_RM,
-    VGEO,
     Convention,
     IllegalMoveError,
     Move,
@@ -29,16 +32,10 @@ from .kernel import (
     is_terminal,
 )
 from .matching import max_matching_bipartite_with_phases
-from .polysolve import (
-    NotApplicable,
-    solve_bipartite_rm_misere,
-    solve_loops_rm_misere,
-    solve_vgeo_undirected_normal,
-    solve_weight1_rm_misere,
-)
+from .polysolve import NotApplicable, poly_solve
 from .posfile import PositionParseError, read_position, write_position
 from .reductions import REDUCTIONS
-from .search import DEFAULT_BUDGET, CapacityError, Outcome, Policy, solve
+from .search import DEFAULT_BUDGET, CapacityError, Outcome, solve
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -46,34 +43,6 @@ EXIT_BUDGET = 2
 EXIT_DISAGREE = 3
 EXIT_NOT_APPLICABLE = 4
 EXIT_INFEASIBLE = 5
-
-_RM_SOLVERS = (
-    ("matching-weight1", solve_weight1_rm_misere),
-    ("matching-loops", solve_loops_rm_misere),
-    ("matching-bipartite", solve_bipartite_rm_misere),
-)
-
-
-def poly_solve(p: Position, c: Convention):
-    """Route to the strongest applicable matching-based solver.
-
-    Returns (outcome, policy, solver name); raises NotApplicable when no
-    polynomial solver covers the position/convention pair.
-    """
-    reasons = []
-    if p.variant == NIMG_RM and c is Convention.MISERE:
-        for name, solver in _RM_SOLVERS:
-            try:
-                outcome, policy = solver(p)
-                return outcome, policy, name
-            except NotApplicable as exc:
-                reasons.append(f"{name}: {exc}")
-        raise NotApplicable("; ".join(reasons))
-    if p.variant == VGEO and c is Convention.NORMAL:
-        outcome, policy = solve_vgeo_undirected_normal(p)
-        return outcome, policy, "matching-vgeo"
-    raise NotApplicable(f"no polynomial solver for {p.variant} under {c.value}")
-
 
 def format_move(variant: str, m: Move) -> str:
     if variant == NIMG_RM:
@@ -114,34 +83,43 @@ def _capacity_error(exc: CapacityError) -> int:
     return EXIT_NOT_APPLICABLE
 
 
+def _answer(pos: Position, conv: Convention, method: str, budget: int):
+    """(outcome, winning move or None, solver name, policy, states expanded).
+
+    Unless `method` is exhaustive the matching router answers first; when
+    it declines, `matching` re-raises its NotApplicable and `auto` falls
+    back to the exhaustive search.  A search out of budget gives outcome
+    None.
+    """
+    if method != "exhaustive":
+        try:
+            outcome, policy, name = poly_solve(pos, conv)
+        except NotApplicable:
+            if method == "matching":
+                raise
+        else:
+            move = policy.choose(pos) if outcome is Outcome.N else None
+            return outcome, move, name, policy, 0
+    report = solve(pos, conv, budget)
+    return report.outcome, report.principal_move, "exhaustive", None, report.states_expanded
+
+
 def cmd_solve(args) -> int:
     loaded = _load(args.position)
     if loaded is None:
         return EXIT_INPUT
     pos, conv = loaded
-    policy = None
-    solved = False
-    if args.method in ("auto", "matching"):
-        try:
-            outcome, policy, solver_name = poly_solve(pos, conv)
-            states = 0
-            solved = True
-        except NotApplicable as exc:
-            if args.method == "matching":
-                print(f"not applicable: {exc}", file=sys.stderr)
-                return EXIT_NOT_APPLICABLE
-    if solved:
-        move = policy.choose(pos) if outcome is Outcome.N and not is_terminal(pos) else None
-    else:
-        try:
-            report = solve(pos, conv, args.budget)
-        except CapacityError as exc:
-            return _capacity_error(exc)
-        if report.budget_exhausted:
-            print(f"budget exhausted after {report.states_expanded} states")
-            return EXIT_BUDGET
-        outcome, solver_name, states = report.outcome, "exhaustive", report.states_expanded
-        move = report.principal_move
+    try:
+        outcome, move, solver_name, policy, states = _answer(
+            pos, conv, args.method, args.budget)
+    except NotApplicable as exc:
+        print(f"not applicable: {exc}", file=sys.stderr)
+        return EXIT_NOT_APPLICABLE
+    except CapacityError as exc:
+        return _capacity_error(exc)
+    if outcome is None:
+        print(f"budget exhausted after {states} states")
+        return EXIT_BUDGET
     print(f"outcome {outcome.value}")
     if move is not None:
         print(f"move {format_move(pos.variant, move)}")
@@ -268,18 +246,9 @@ def _print_board(pos: Position, conv: Convention, human_turn: bool) -> None:
 
 
 def _engine_move(pos: Position, conv: Convention, method: str, budget: int) -> Move:
-    if method in ("auto", "matching"):
-        try:
-            outcome, policy, _ = poly_solve(pos, conv)
-            if outcome is Outcome.N:
-                return policy.choose(pos)
-            return first_move(pos)  # losing anyway: play on
-        except NotApplicable:
-            pass
-    report = solve(pos, conv, budget)
-    if report.outcome is Outcome.N:
-        return report.principal_move
-    return first_move(pos)
+    # `matching` was checked at the start; a later position may leave its class
+    outcome, move, *_ = _answer(pos, conv, "auto" if method == "matching" else method, budget)
+    return move if outcome is Outcome.N else first_move(pos)  # losing anyway: play on
 
 
 def cmd_play(args) -> int:

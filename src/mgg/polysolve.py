@@ -1,4 +1,4 @@
-"""Polynomial-time solvers backed by maximum matching.
+"""Polynomial-time solvers backed by maximum matching, and the router.
 
 Covered classes, all returning (outcome, winning policy or None):
 
@@ -15,15 +15,22 @@ Covered classes, all returning (outcome, winning policy or None):
   on a single token the game restricts to the light component around the
   start and reduces to the weight-one case.
 
-Inputs outside a solver's class raise NotApplicable so callers can fall back
-to the exhaustive solver; genuine contract violations raise ValueError.
+All four apply one criterion path: each induces one subgraph, computes one
+maximum matching of it, and `_criterion` turns the two into the coverage
+answer and the mate map in original ids, which `_follow` plays.  The
+matchers ignore loops, so no subgraph needs its loops stripped.
+
+`poly_solve` routes a position to the strongest applicable solver.  Inputs
+outside a solver's class raise NotApplicable so callers can fall back to the
+exhaustive solver; genuine contract violations raise ValueError.
 """
 
 from __future__ import annotations
 
-from .graphs import Graph, bipartition, connected_component, induced_subgraph
-from .kernel import NIMG_RM, VGEO, Move, Position
+from .graphs import Graph, Relabeling, bipartition, induced_subgraph
+from .kernel import NIMG_RM, VGEO, Convention, Move, Position
 from .matching import (
+    Matching,
     covered_by_all_maximum_matchings,
     max_matching_bipartite,
     max_matching_general,
@@ -37,10 +44,6 @@ class NotApplicable(Exception):
 
 class StrategyBreakdown(RuntimeError):
     """A matching policy found no mate; cannot happen inside its input class."""
-
-
-def heavy_vertices(weights) -> frozenset[int]:
-    return frozenset(v for v, w in enumerate(weights) if w >= 2)
 
 
 def preprocess_positive(p: Position):
@@ -61,38 +64,46 @@ def preprocess_positive(p: Position):
     return Position(NIMG_RM, sub, relab.to_new(p.current), weights), relab
 
 
+def _criterion(sub: Graph, relab: Relabeling, vertex: int, matching: Matching):
+    """(every maximum matching of `sub` covers `vertex`?, mate map).
+
+    `sub` is induced by `relab`, `matching` is one of its maximum
+    matchings, and `vertex` and the mate map use the original ids.
+    """
+    covered = covered_by_all_maximum_matchings(sub, relab.to_new(vertex), matching)
+    old = relab.old_ids
+    mate = {old[u]: old[v] for u, v in enumerate(matching.mate) if v is not None}
+    return covered, mate
+
+
+def _follow(mate: dict[int, int], k: int | None = 0):
+    """The choose that moves to the current vertex's mate, leaving `k` tokens."""
+
+    def choose(q: Position) -> Move:
+        to = mate.get(q.current)
+        if to is None:
+            raise StrategyBreakdown(f"current vertex {q.current} is unmatched")
+        return Move(to, k)
+
+    return choose
+
+
 def solve_vgeo_undirected_normal(p: Position) -> tuple[Outcome, Policy | None]:
     """Normal-play vertex geography on an undirected graph.
 
     The mover wins iff every maximum matching of the live graph covers the
     token vertex; the policy slides along a fixed maximum matching.  Loops
-    can never be traversed in vertex geography and are stripped before the
-    criterion.
+    can never be traversed in vertex geography, and the matchers skip them.
     """
     if p.variant != VGEO:
         raise ValueError("solve_vgeo_undirected_normal applies to vgeo positions")
     if p.graph.directed:
         raise NotApplicable("directed graph")
-    live = set(range(p.graph.n)) - p.removed_vertices
-    sub, relab = induced_subgraph(p.graph, live)
-    sub = sub.without_loops()
-    cur = relab.to_new(p.current)
-    matching = max_matching_general(sub)
-    if not covered_by_all_maximum_matchings(sub, cur, matching):
+    sub, relab = induced_subgraph(p.graph, set(range(p.graph.n)) - p.removed_vertices)
+    covered, mate = _criterion(sub, relab, p.current, max_matching_general(sub))
+    if not covered:
         return Outcome.P, None
-    mate = {
-        relab.to_old(u): relab.to_old(v)
-        for u, v in enumerate(matching.mate)
-        if v is not None
-    }
-
-    def choose(q: Position) -> Move:
-        to = mate.get(q.current)
-        if to is None:
-            raise StrategyBreakdown(f"token vertex {q.current} is unmatched")
-        return Move(to)
-
-    return Outcome.N, Policy(choose, "matching-following")
+    return Outcome.N, Policy(_follow(mate, None), "matching-following")
 
 
 def solve_weight1_rm_misere(p: Position) -> tuple[Outcome, Policy | None]:
@@ -110,17 +121,11 @@ def solve_weight1_rm_misere(p: Position) -> tuple[Outcome, Policy | None]:
         raise NotApplicable("loops present")
     if any(w != 1 for w in p.weights):
         raise NotApplicable("weights must all equal one")
-    outcome, vgeo_policy = solve_vgeo_undirected_normal(
-        Position(VGEO, p.graph, p.current)
-    )
-    if outcome is Outcome.P:
+    sub, relab = induced_subgraph(p.graph, range(p.graph.n))
+    covered, mate = _criterion(sub, relab, p.current, max_matching_general(sub))
+    if not covered:
         return Outcome.P, None
-
-    def choose(q: Position) -> Move:
-        probe = Position(VGEO, q.graph, q.current)
-        return Move(vgeo_policy.choose(probe).to, 0)
-
-    return Outcome.N, Policy(choose, "matching-following")
+    return Outcome.N, Policy(_follow(mate), "matching-following")
 
 
 def _degenerate_pile(p: Position) -> tuple[Outcome, Policy | None]:
@@ -143,7 +148,7 @@ def solve_bipartite_rm_misere(p: Position) -> tuple[Outcome, Policy | None]:
     maximum matching sizes nu(G) and nu(G - start) differ; the winning policy
     removes every token on the current vertex and moves along a fixed maximum
     matching.  A start vertex without any incident edge degenerates to a
-    single Nim pile and is decided directly.
+    single Nim pile and is decided directly, after the class checks.
     """
     if p.variant != NIMG_RM:
         raise ValueError("solve_bipartite_rm_misere applies to nimg-rm positions")
@@ -151,62 +156,41 @@ def solve_bipartite_rm_misere(p: Position) -> tuple[Outcome, Policy | None]:
         raise NotApplicable("directed graph")
     if p.weights[p.current] == 0:
         raise NotApplicable("start vertex holds no token")
-    q, relab = preprocess_positive(p)
-    if q.graph.loop_vertices:
+    sub, relab = induced_subgraph(p.graph, [v for v, w in enumerate(p.weights) if w])
+    if sub.loop_vertices:
         raise NotApplicable("loops present")
-    b = bipartition(q.graph)
+    b = bipartition(sub)
     if b is None:
         raise NotApplicable("graph is not bipartite")
     if not p.graph.adjacency[p.current]:
         return _degenerate_pile(p)
-    cur = q.current
-    matching = max_matching_bipartite(q.graph, b)
-    if not covered_by_all_maximum_matchings(q.graph, cur, matching):
+    covered, mate = _criterion(sub, relab, p.current, max_matching_bipartite(sub, b))
+    if not covered:
         return Outcome.P, None
-    mate = {
-        relab.to_old(u): relab.to_old(v)
-        for u, v in enumerate(matching.mate)
-        if v is not None
-    }
-
-    def choose(r: Position) -> Move:
-        to = mate.get(r.current)
-        if to is None:
-            raise StrategyBreakdown(f"current vertex {r.current} is unmatched")
-        return Move(to, 0)
-
-    return Outcome.N, Policy(choose, "matching-following")
+    return Outcome.N, Policy(_follow(mate), "matching-following")
 
 
-def _light_component(r: Position):
-    """Loop-free light component around the current vertex.
+def _light_criterion(g: Graph, weights, vertex: int):
+    """`_criterion` on the light component of `vertex`, which holds one token.
 
-    Restricts to token-bearing vertices, drops those holding two or more
-    tokens, keeps the connected component of the current vertex and strips
-    loops.  Returns (graph, current id, new->original id translator).
+    The light component is the connected component of `vertex` among the
+    vertices holding exactly one token.
     """
-    q, relab1 = preprocess_positive(r)
-    heavy = heavy_vertices(q.weights)
-    rest, relab2 = induced_subgraph(q.graph, set(range(q.graph.n)) - heavy)
-    cur2 = relab2.to_new(q.current)
-    comp = connected_component(rest, cur2)
-    comp_graph, relab3 = induced_subgraph(rest, comp)
-
-    def to_old(v: int) -> int:
-        return relab1.to_old(relab2.to_old(relab3.to_old(v)))
-
-    return comp_graph.without_loops(), relab3.to_new(cur2), to_old
+    comp, stack = {vertex}, [vertex]
+    while stack:
+        for v in g.adjacency[stack.pop()]:
+            if weights[v] == 1 and v not in comp:
+                comp.add(v)
+                stack.append(v)
+    sub, relab = induced_subgraph(g, comp)
+    return _criterion(sub, relab, vertex, max_matching_general(sub))
 
 
-def _loops_outcome(r: Position) -> Outcome:
-    if r.weights[r.current] == 0:
-        return Outcome.N  # terminal: the mover wins under misere
-    q, _ = preprocess_positive(r)
-    if q.weights[q.current] >= 2:
-        return Outcome.N
-    comp, cur, _ = _light_component(r)
-    covered = covered_by_all_maximum_matchings(comp, cur, max_matching_general(comp))
-    return Outcome.N if covered else Outcome.P
+def _loops_outcome(g: Graph, weights, vertex: int) -> Outcome:
+    """Outcome of the all-loops game with the pointer on `vertex`."""
+    if weights[vertex] != 1:
+        return Outcome.N  # no token: the mover has won; two or more: stall
+    return Outcome.N if _light_criterion(g, weights, vertex)[0] else Outcome.P
 
 
 def solve_loops_rm_misere(p: Position) -> tuple[Outcome, Policy | None]:
@@ -225,12 +209,10 @@ def solve_loops_rm_misere(p: Position) -> tuple[Outcome, Policy | None]:
         raise NotApplicable("directed graph")
     if p.weights[p.current] == 0:
         raise NotApplicable("start vertex holds no token")
-    q, _ = preprocess_positive(p)
-    missing = [v for v in range(q.graph.n) if not q.graph.has_loop(v)]
-    if missing:
+    loops = p.graph.loop_vertices
+    if any(w and v not in loops for v, w in enumerate(p.weights)):
         raise NotApplicable("loop missing on a token-bearing vertex")
-    outcome = _loops_outcome(p)
-    if outcome is Outcome.P:
+    if _loops_outcome(p.graph, p.weights, p.current) is Outcome.P:
         return Outcome.P, None
 
     def choose(r: Position) -> Move:
@@ -238,19 +220,43 @@ def solve_loops_rm_misere(p: Position) -> tuple[Outcome, Policy | None]:
         cur = r.current
         if w[cur] == 0:
             raise ValueError("terminal position: the mover has already won")
-        if w[cur] >= 2:
-            drained = w[:cur] + (0,) + w[cur + 1:]
-            for v in r.graph.adjacency[cur]:
-                if v == cur:
-                    continue
-                # the position Move(v, 0) leads to
-                if _loops_outcome(Position(NIMG_RM, r.graph, v, drained)) is Outcome.P:
-                    return Move(v, 0)
-            return Move(cur, 1)  # stall: keep one token, stay on the loop
-        comp, cur_id, to_old = _light_component(r)
-        mate = max_matching_general(comp).mate[cur_id]
-        if mate is None:
-            raise StrategyBreakdown(f"current vertex {cur} is unmatched")
-        return Move(to_old(mate), 0)
+        if w[cur] == 1:  # the weight-one game on the light component
+            _, mate = _light_criterion(r.graph, w, cur)
+            return _follow(mate)(r)
+        drained = w[:cur] + (0,) + w[cur + 1:]
+        for v in r.graph.adjacency[cur]:
+            # Move(v, 0) leads to the opponent on v with `drained`
+            if v != cur and _loops_outcome(r.graph, drained, v) is Outcome.P:
+                return Move(v, 0)
+        return Move(cur, 1)  # stall: keep one token, stay on the loop
 
     return Outcome.N, Policy(choose, "loop-stalling")
+
+
+_RM_SOLVERS = (
+    ("matching-weight1", solve_weight1_rm_misere),
+    ("matching-loops", solve_loops_rm_misere),
+    ("matching-bipartite", solve_bipartite_rm_misere),
+)
+
+
+def poly_solve(p: Position, c: Convention):
+    """Route to the strongest applicable matching-based solver.
+
+    Returns (outcome, policy, solver name); raises NotApplicable when no
+    polynomial solver covers the position/convention pair, naming each
+    declining solver's reason.
+    """
+    reasons = []
+    if p.variant == NIMG_RM and c is Convention.MISERE:
+        for name, solver in _RM_SOLVERS:
+            try:
+                outcome, policy = solver(p)
+                return outcome, policy, name
+            except NotApplicable as exc:
+                reasons.append(f"{name}: {exc}")
+        raise NotApplicable("; ".join(reasons))
+    if p.variant == VGEO and c is Convention.NORMAL:
+        outcome, policy = solve_vgeo_undirected_normal(p)
+        return outcome, policy, "matching-vgeo"
+    raise NotApplicable(f"no polynomial solver for {p.variant} under {c.value}")

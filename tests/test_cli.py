@@ -13,11 +13,10 @@ from mgg.cli import (
     format_move,
     main,
     parse_move,
-    poly_solve,
 )
 from mgg.kernel import Convention, Move, Position
 from mgg.graphs import build_graph
-from mgg.polysolve import NotApplicable
+from mgg.polysolve import NotApplicable, poly_solve
 from mgg.search import Outcome
 
 
@@ -100,7 +99,12 @@ def test_solve_reports_matching_strategy(tmp_path, capsys):
 def test_solve_matching_not_applicable(tmp_path, capsys):
     code = main(["solve", write(tmp_path, "p.pos", ODD_HEAVY), "--method", "matching"])
     assert code == EXIT_NOT_APPLICABLE
-    assert "not applicable" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "not applicable" in err
+    # each remove-then-move solver's decline reason, in routing order
+    assert ("matching-weight1: weights must all equal one; "
+            "matching-loops: loop missing on a token-bearing vertex; "
+            "matching-bipartite: graph is not bipartite") in err
 
 
 def test_solve_auto_falls_back_to_exhaustive(tmp_path, capsys):
@@ -279,6 +283,23 @@ def test_play_eof_is_input_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(""))
     code = main(["play", write(tmp_path, "p.pos", EDGE_BIP)])
     assert code == EXIT_INPUT
+
+
+def test_play_matching_not_applicable(tmp_path, capsys):
+    code = main(["play", write(tmp_path, "p.pos", ODD_HEAVY), "--method", "matching"])
+    assert code == EXIT_NOT_APPLICABLE
+    assert "not applicable" in capsys.readouterr().err
+
+
+def test_engine_first_move_agrees_across_methods(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "p.pos", EDGE_BIP)
+    plays = []
+    for method in ("auto", "exhaustive"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        assert main(["play", path, "--engine-first", "--method", method]) == EXIT_INPUT
+        out = capsys.readouterr().out
+        plays.append([line for line in out.splitlines() if line.startswith("engine plays")])
+    assert plays[0] == plays[1] == ["engine plays: 0 1"]
 
 
 def test_poly_solve_dispatch():

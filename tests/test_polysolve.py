@@ -1,5 +1,6 @@
 import random
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, settings
 
@@ -8,7 +9,7 @@ from mgg.graphs import build_graph
 from mgg.kernel import Convention, Move, Position
 from mgg.polysolve import (
     NotApplicable,
-    heavy_vertices,
+    poly_solve,
     preprocess_positive,
     solve_bipartite_rm_misere,
     solve_loops_rm_misere,
@@ -16,7 +17,7 @@ from mgg.polysolve import (
     solve_weight1_rm_misere,
 )
 from mgg.search import Outcome, solve
-from oracles import random_connected_bipartite
+from oracles import naive_certify, odd_closed_walk_exists, random_connected_bipartite
 from strategies import nimg_positions
 
 MIS = Convention.MISERE
@@ -69,10 +70,6 @@ def test_preprocess_corner_is_real():
     q, _ = preprocess_positive(p)
     assert solve(p, MIS).outcome is Outcome.P  # every move is suicide
     assert solve(q, MIS).outcome is Outcome.N  # isolated pile of two
-
-
-def test_heavy_vertices():
-    assert heavy_vertices((0, 1, 2, 5)) == frozenset({2, 3})
 
 
 # ------------------------------------------------------------ vgeo, weight 1
@@ -257,26 +254,33 @@ def test_loop_moves_never_help_at_weight_one():
 
 # ------------------------------------------------------- one matching a solve
 
-def _count_matchers(monkeypatch):
-    """Record every maximum-matcher call, through any module's global."""
+def _count_calls(monkeypatch):
+    """Record every maximum-matcher, `induced_subgraph` and
+    `preprocess_positive` call, through any module's global."""
+    import mgg.graphs as graphs
     import mgg.matching as matching
     import mgg.polysolve as polysolve
 
     calls = []
-    for name in ("max_matching_general", "max_matching_bipartite"):
-        def counted(*args, _orig=getattr(matching, name), _name=name):
+    for home, name in ((matching, "max_matching_general"),
+                       (matching, "max_matching_bipartite"),
+                       (graphs, "induced_subgraph"),
+                       (polysolve, "preprocess_positive")):
+        def counted(*args, _orig=getattr(home, name), _name=name):
             calls.append(_name)
             return _orig(*args)
 
-        for mod in (matching, polysolve):
+        for mod in {home, polysolve}:
             monkeypatch.setattr(mod, name, counted)
     return calls
 
 
 def test_each_matching_solve_runs_one_maximum_matching(monkeypatch):
+    # one induced subgraph and one maximum matching per solve and per probe
+    # of the loops policy; no solver preprocesses through a Position
     from mgg.polysolve import _loops_outcome
 
-    calls = _count_matchers(monkeypatch)
+    calls = _count_calls(monkeypatch)
     rng = random.Random(7)
     outcomes = set()
     for _ in range(40):
@@ -294,9 +298,70 @@ def test_each_matching_solve_runs_one_maximum_matching(monkeypatch):
         for solver, p, matcher in cases:
             calls.clear()
             outcomes.add(solver(p)[0])
-            assert calls == [f"max_matching_{matcher}"], solver.__name__
+            assert calls == ["induced_subgraph", f"max_matching_{matcher}"], solver.__name__
             if solver is solve_loops_rm_misere:
                 calls.clear()
-                _loops_outcome(p)
-                assert calls == ["max_matching_general"]
+                _loops_outcome(p.graph, p.weights, p.current)
+                assert calls == ["induced_subgraph", "max_matching_general"]
     assert outcomes == {Outcome.N, Outcome.P}
+
+
+# ------------------------------------- empty vertices inside the matching classes
+
+def _check_class_answer(solver, p, in_class):
+    """NotApplicable exactly outside the class; inside it, the exhaustive
+    outcome, and an N policy that both certifiers accept."""
+    try:
+        out, policy = solver(p)
+    except NotApplicable:
+        assert not in_class
+        return
+    assert in_class
+    assert out == solve(p, MIS).outcome
+    if out is Outcome.N:
+        assert verify_strategy(p, MIS, policy) is True
+        assert naive_certify(p, MIS, policy)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nimg_positions(max_n=5, wmax=3, min_weight=0))
+def test_loops_class_with_empty_vertices(p):
+    # a loop on every token-bearing vertex; an empty one may have one or not
+    loops = {(v, v) for v, w in enumerate(p.weights) if w}
+    g = build_graph("undirected", p.graph.n, set(p.graph.edges) | loops)
+    p = Position("nimg-rm", g, p.current, p.weights)
+    _check_class_answer(solve_loops_rm_misere, p, p.weights[p.current] >= 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nimg_positions(max_n=6, wmax=2, min_weight=0, allow_loops=False), st.data())
+def test_bipartite_class_with_empty_vertices(p, data):
+    n = p.graph.n
+    side = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    g = build_graph("undirected", n, [(u, v) for u, v in p.graph.edges if side[u] != side[v]])
+    p = Position("nimg-rm", g, p.current, p.weights)
+    tokens = [v for v in range(n) if p.weights[v]]
+    live = build_graph("undirected", len(tokens), [
+        (tokens.index(u), tokens.index(v)) for u, v in g.edges
+        if u in tokens and v in tokens])
+    in_class = p.weights[p.current] >= 1 and not odd_closed_walk_exists(live)
+    _check_class_answer(solve_bipartite_rm_misere, p, in_class)
+
+
+def test_bipartite_checks_the_class_before_the_lone_pile(tmp_path, capsys):
+    # the start has no edge, but the token-bearing triangle 1-2-3 puts the
+    # position outside the bipartite class: the exhaustive solver answers
+    from mgg.cli import main
+    from mgg.posfile import write_position
+
+    g = build_graph("undirected", 4, [(1, 2), (2, 3), (1, 3)])
+    p = Position("nimg-rm", g, 0, (2, 1, 1, 1))
+    with pytest.raises(NotApplicable, match="not bipartite"):
+        solve_bipartite_rm_misere(p)
+    with pytest.raises(NotApplicable):
+        poly_solve(p, MIS)
+    path = str(tmp_path / "p.pos")
+    write_position(path, p, MIS)
+    assert main(["solve", path]) == 0
+    out = capsys.readouterr().out
+    assert "outcome N" in out and "solver exhaustive" in out
