@@ -247,9 +247,7 @@ def write_counterexample(
         fh.write(serialize_position(source, source_convention))
     with open(os.path.join(bundle, "target.pos"), "w", encoding="utf-8") as fh:
         fh.write(serialize_position(out.position, out.target_convention))
-    with open(os.path.join(bundle, "namemap.txt"), "w", encoding="utf-8") as fh:
-        for label, vid in sorted(out.name_map.items(), key=lambda kv: kv[1]):
-            fh.write(f"{label} -> {vid}\n")
+    write_name_map(os.path.join(bundle, "namemap.txt"), out.name_map)
     with open(os.path.join(bundle, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write(
             f"reduction {report.reduction}\nseed {report.seed}\n"
@@ -258,3 +256,10 @@ def write_counterexample(
             f"states {report.source_states} / {report.target_states}\n"
         )
     return bundle
+
+
+def write_name_map(path: str, name_map: dict[str, int]) -> None:
+    """Write `label -> vid` lines in target-vertex order."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for label, vid in sorted(name_map.items(), key=lambda kv: kv[1]):
+            fh.write(f"{label} -> {vid}\n")

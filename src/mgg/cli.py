@@ -1,4 +1,4 @@
-"""Command-line front end: solve, reduce, verify, bench, play.
+"""Command-line front end: solve, reduce, verify, play.
 
 `solve` and the engine side of `play` share one answer path: the matching
 router `polysolve.poly_solve` first, the exhaustive search when it declines
@@ -13,12 +13,11 @@ or 128-arc bitset cap), 5 infeasible grid.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
-import time
+from collections import Counter
+from dataclasses import fields, replace
 
-from .arena import mix_seed, run_reduction_grid, write_counterexample
-from .graphs import Bipartition, Graph
+from .arena import LOOP_MODES, run_reduction_grid, write_counterexample, write_name_map
 from .kernel import (
     EGEO,
     NIMG_MR,
@@ -31,10 +30,9 @@ from .kernel import (
     first_move,
     is_terminal,
 )
-from .matching import max_matching_bipartite_with_phases
 from .polysolve import NotApplicable, poly_solve
 from .posfile import PositionParseError, read_position, write_position
-from .reductions import REDUCTIONS
+from .reductions import REDUCTIONS, Grid
 from .search import DEFAULT_BUDGET, CapacityError, Outcome, solve
 
 EXIT_OK = 0
@@ -83,17 +81,18 @@ def _capacity_error(exc: CapacityError) -> int:
     return EXIT_NOT_APPLICABLE
 
 
-def _answer(pos: Position, conv: Convention, method: str, budget: int):
+def _answer(pos: Position, conv: Convention, method: str, budget: int, routed=None):
     """(outcome, winning move or None, solver name, policy, states expanded).
 
-    Unless `method` is exhaustive the matching router answers first; when
-    it declines, `matching` re-raises its NotApplicable and `auto` falls
-    back to the exhaustive search.  A search out of budget gives outcome
-    None.
+    Unless `method` is exhaustive the matching router answers first, or
+    `routed` does when the caller already holds the router's answer for
+    `pos`; when it declines, `matching` re-raises its NotApplicable and
+    `auto` falls back to the exhaustive search.  A search out of budget
+    gives outcome None.
     """
     if method != "exhaustive":
         try:
-            outcome, policy, name = poly_solve(pos, conv)
+            outcome, policy, name = routed or poly_solve(pos, conv)
         except NotApplicable:
             if method == "matching":
                 raise
@@ -147,9 +146,7 @@ def cmd_reduce(args) -> int:
         return EXIT_INPUT
     write_position(args.output, out.position, out.target_convention)
     namemap = args.namemap or args.output + ".namemap"
-    with open(namemap, "w", encoding="utf-8") as fh:
-        for label, vid in sorted(out.name_map.items(), key=lambda kv: kv[1]):
-            fh.write(f"{label} -> {vid}\n")
+    write_name_map(namemap, out.name_map)
     tgt = out.position
     print(
         f"wrote {args.output}: {tgt.variant} {tgt.graph.kind} "
@@ -160,73 +157,50 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    disagreements = 0
-    indeterminate = 0
-    agreed = 0
-    try:
-        trials = run_reduction_grid(
-            args.name,
-            n=args.n,
-            m=args.m,
-            weight_bound=args.wmax,
-            trials=args.trials,
-            master_seed=args.seed,
-            budget=args.budget,
-            loops=args.loops,
-            all_starts=args.all_starts,
-        )
-        print("trial seed n m start src tgt agree")
-        for index, (report, pos, out) in enumerate(trials):
-            src = report.source_outcome.value if report.source_outcome else "-"
-            tgt = report.target_outcome.value if report.target_outcome else "-"
-            flag = {True: "yes", False: "NO", None: "budget"}[report.agree]
-            print(
-                f"{index} {report.seed} {report.n} {report.m} "
-                f"{pos.current} {src} {tgt} {flag}"
+    """Cross-check each named reduction (default: all) on its standard grid.
+
+    A grid flag given on the command line overrides that part of every
+    grid.  An infeasible grid stops the run at once.
+    """
+    given = {f.name: getattr(args, f.name) for f in fields(Grid)}
+    given = {key: value for key, value in given.items() if value is not None}
+    flags = Counter()
+    for name in args.names or REDUCTIONS:
+        grid = replace(REDUCTIONS[name].grid, **given)
+        tally = Counter()
+        try:
+            trials = run_reduction_grid(
+                name, n=grid.n, m=grid.m, weight_bound=grid.wmax, trials=grid.trials,
+                master_seed=args.seed, budget=args.budget, loops=grid.loops,
+                all_starts=grid.all_starts,
             )
-            if report.agree is False:
-                disagreements += 1
-                bundle = write_counterexample(
-                    args.counterexamples, report, pos, out.source_convention, out
+            print("trial seed n m start src tgt agree")
+            for index, (report, pos, out) in enumerate(trials):
+                src = report.source_outcome.value if report.source_outcome else "-"
+                tgt = report.target_outcome.value if report.target_outcome else "-"
+                flag = {True: "yes", False: "NO", None: "budget"}[report.agree]
+                tally[flag] += 1
+                print(
+                    f"{index} {report.seed} {report.n} {report.m} "
+                    f"{pos.current} {src} {tgt} {flag}"
                 )
-                print(f"counterexample written to {bundle}", file=sys.stderr)
-            elif report.agree is None:
-                indeterminate += 1
-            else:
-                agreed += 1
-    except ValueError as exc:
-        print(f"infeasible grid: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except CapacityError as exc:
-        return _capacity_error(exc)
-    total = agreed + disagreements + indeterminate
-    print(f"summary: {agreed}/{total} agree, {indeterminate} indeterminate")
-    if disagreements:
+                if report.agree is False:
+                    bundle = write_counterexample(
+                        args.counterexamples, report, pos, out.source_convention, out
+                    )
+                    print(f"counterexample written to {bundle}", file=sys.stderr)
+        except ValueError as exc:
+            print(f"infeasible grid: {exc}", file=sys.stderr)
+            return EXIT_INFEASIBLE
+        except CapacityError as exc:
+            return _capacity_error(exc)
+        print(f"summary: {tally['yes']}/{tally.total()} agree, "
+              f"{tally['budget']} indeterminate")
+        flags += tally
+    if flags["NO"]:
         return EXIT_DISAGREE
-    if indeterminate:
+    if flags["budget"]:
         return EXIT_BUDGET
-    return EXIT_OK
-
-
-def cmd_bench(args) -> int:
-    if args.target != "matching":
-        print(f"unknown bench target {args.target}", file=sys.stderr)
-        return EXIT_INPUT
-    rng = random.Random(args.seed)
-    n, m = args.n, args.m
-    half = n // 2
-    if half == 0 or m > half * (n - half):
-        print("infeasible bench size", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    edges = set()
-    while len(edges) < m:
-        edges.add((rng.randrange(half), half + rng.randrange(n - half)))
-    g = Graph(n, tuple(edges), directed=False)
-    b = Bipartition(frozenset(range(half)), frozenset(range(half, n)))
-    t0 = time.perf_counter()
-    matching, phases = max_matching_bipartite_with_phases(g, b)
-    dt = time.perf_counter() - t0
-    print(f"matching size {matching.size} phases {phases} time {dt:.3f}s")
     return EXIT_OK
 
 
@@ -245,9 +219,12 @@ def _print_board(pos: Position, conv: Convention, human_turn: bool) -> None:
     print("edges:", " ".join(f"{u}{sep}{v}" for u, v in live) or "(none)")
 
 
-def _engine_move(pos: Position, conv: Convention, method: str, budget: int) -> Move:
+def _engine_move(
+    pos: Position, conv: Convention, method: str, budget: int, routed=None
+) -> Move:
     # `matching` was checked at the start; a later position may leave its class
-    outcome, move, *_ = _answer(pos, conv, "auto" if method == "matching" else method, budget)
+    outcome, move, *_ = _answer(
+        pos, conv, "auto" if method == "matching" else method, budget, routed)
     return move if outcome is Outcome.N else first_move(pos)  # losing anyway: play on
 
 
@@ -256,9 +233,10 @@ def cmd_play(args) -> int:
     if loaded is None:
         return EXIT_INPUT
     pos, conv = loaded
+    routed = None  # the router's answer for the start position, once checked
     if args.method == "matching":
         try:
-            poly_solve(pos, conv)
+            routed = poly_solve(pos, conv)
         except NotApplicable as exc:
             print(f"not applicable: {exc}", file=sys.stderr)
             return EXIT_NOT_APPLICABLE
@@ -289,12 +267,20 @@ def cmd_play(args) -> int:
                     print(f"illegal move: {exc}")
         else:
             try:
-                move = _engine_move(pos, conv, args.method, args.budget)
+                move = _engine_move(pos, conv, args.method, args.budget, routed)
             except CapacityError as exc:
                 return _capacity_error(exc)
             print(f"engine plays: {format_move(pos.variant, move)}")
             pos = apply_move(pos, move)
+        routed = None  # it answered the start position only
         human_turn = not human_turn
+
+
+def _reduction_name(text: str) -> str:
+    if text not in REDUCTIONS:
+        raise argparse.ArgumentTypeError(
+            f"unknown reduction {text!r} (choose from {', '.join(REDUCTIONS)})")
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,25 +303,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--namemap", default=None)
     p.set_defaults(fn=cmd_reduce)
 
-    p = sub.add_parser("verify", help="cross-check a reduction on random instances")
-    p.add_argument("name", choices=sorted(REDUCTIONS))
-    p.add_argument("--n", type=int, default=4)
-    p.add_argument("--m", type=int, default=4)
-    p.add_argument("--wmax", type=int, default=1)
-    p.add_argument("--trials", type=int, default=100)
+    p = sub.add_parser(
+        "verify", help="cross-check reductions on random instances",
+        description="Cross-check each named reduction (default: all) on its "
+        "standard grid; a flag given overrides that part of every grid.",
+    )
+    # argparse rejects an empty list against `choices`, so names are checked by type
+    p.add_argument("names", nargs="*", type=_reduction_name, metavar="name",
+                   help=f"one of {', '.join(REDUCTIONS)}")
+    p.add_argument("--n", type=int)
+    p.add_argument("--m", type=int)
+    p.add_argument("--wmax", type=int)
+    p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--loops", choices=("none", "all", "free"), default="none")
-    p.add_argument("--all-starts", action="store_true")
+    p.add_argument("--loops", choices=LOOP_MODES)
+    p.add_argument("--all-starts", action="store_true", default=None)
     p.add_argument("--counterexamples", default="counterexamples")
     p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("bench", help="time the bipartite matching engine")
-    p.add_argument("target", choices=("matching",))
-    p.add_argument("--n", type=int, default=20000)
-    p.add_argument("--m", type=int, default=100000)
-    p.add_argument("--seed", type=int, default=1)
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("play", help="play a position against the engine")
     p.add_argument("position")

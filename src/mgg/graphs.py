@@ -77,11 +77,6 @@ class Graph:
     def loop_vertices(self) -> frozenset[int]:
         return frozenset(u for u, v in self.edges if u == v)
 
-    def without_loops(self) -> "Graph":
-        if not self.loop_vertices:
-            return self
-        return Graph(self.n, tuple(e for e in self.edges if e[0] != e[1]), self.directed)
-
 
 def build_graph(kind: str, n: int, edges) -> Graph:
     """Validated construction; `kind` is ``undirected`` or ``directed``."""

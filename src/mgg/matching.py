@@ -49,12 +49,6 @@ class Matching:
     def size(self) -> int:
         return sum(1 for v in self.mate if v is not None) // 2
 
-    def covers(self, u: int) -> bool:
-        return self.mate[u] is not None
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u, v in enumerate(self.mate) if v is not None and u < v]
-
     def validate(self, g: Graph) -> None:
         for u, v in enumerate(self.mate):
             if v is None:

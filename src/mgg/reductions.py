@@ -192,11 +192,30 @@ def reduce_nimgmr_normal_to_misere(g: Graph, w: WeightMap, u: int) -> ReductionO
 
 
 @dataclass(frozen=True)
+class Grid:
+    """A reduction's standard cross-check grid for `arena.run_reduction_grid`.
+
+    `trials` random sources of at most `n` vertices and `m` edges, weights
+    up to `wmax`, loops drawn as `loops` says; with `all_starts` every vertex
+    of each source is a start.  The defaults are the grid of an entry that
+    names none.
+    """
+
+    n: int = 4
+    m: int = 4
+    wmax: int = 1
+    trials: int = 100
+    loops: str = "none"
+    all_starts: bool = False
+
+
+@dataclass(frozen=True)
 class ReductionEntry:
     name: str
     source_variant: str
     source_kind: str
     apply: Callable[[Position], ReductionOutput]
+    grid: Grid = Grid()
 
     def check_source(self, p: Position) -> None:
         if p.variant != self.source_variant:
@@ -218,25 +237,31 @@ REDUCTIONS: dict[str, ReductionEntry] = {
     "vgeo-dir": ReductionEntry(
         "vgeo-dir", VGEO, DIRECTED,
         lambda p: reduce_vgeo_dir_misere(_fresh(p).graph, p.current),
+        Grid(6, 10, 1, 500, all_starts=True),
     ),
     "vgeo-undir": ReductionEntry(
         "vgeo-undir", VGEO, DIRECTED,
         lambda p: reduce_vgeo_dir_to_undir_misere(_fresh(p).graph, p.current),
+        Grid(4, 4, 1, 100),
     ),
     "egeo-dir": ReductionEntry(
         "egeo-dir", EGEO, DIRECTED,
         lambda p: reduce_egeo_dir_misere(_fresh(p).graph, p.current),
+        Grid(5, 8, 1, 300),
     ),
     "egeo-undir": ReductionEntry(
         "egeo-undir", EGEO, UNDIRECTED,
         lambda p: reduce_egeo_undir_misere(_fresh(p).graph, p.current),
+        Grid(5, 8, 1, 300),
     ),
     "nimg-rm": ReductionEntry(
         "nimg-rm", VGEO, DIRECTED,
         lambda p: reduce_vgeo_dir_to_nimgrm_misere(_fresh(p).graph, p.current),
+        Grid(4, 4, 1, 200),
     ),
     "nimg-mr": ReductionEntry(
         "nimg-mr", NIMG_MR, "any",
         lambda p: reduce_nimgmr_normal_to_misere(_fresh(p).graph, p.weights, p.current),
+        Grid(4, 4, 2, 300, loops="free"),
     ),
 }

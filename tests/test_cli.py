@@ -256,16 +256,32 @@ def test_verify_budget_exit(tmp_path, capsys):
     assert "indeterminate" in capsys.readouterr().out
 
 
-def test_bench_prints_size_and_time(capsys):
-    code = main(["bench", "matching", "--n", "200", "--m", "400", "--seed", "1"])
+def test_verify_infeasible_grid(capsys):
+    code = main(["verify", "vgeo-dir", "--n", "0"])
+    assert code == EXIT_INFEASIBLE
+    assert capsys.readouterr().err.startswith("infeasible grid: ")
+
+
+def test_verify_without_names_runs_every_standard_grid(tmp_path, capsys):
+    code = main(["verify", "--counterexamples", str(tmp_path / "cx")])
     out = capsys.readouterr().out
     assert code == EXIT_OK
-    assert "matching size" in out and "time" in out and "phases" in out
+    summaries = [line for line in out.splitlines() if line.startswith("summary:")]
+    # vgeo-dir checks every start of its 500 sources; nimg-mr draws loops
+    assert summaries == [
+        f"summary: {k}/{k} agree, 0 indeterminate"
+        for k in (1714, 100, 300, 300, 200, 300)
+    ]
+    assert out.count("trial seed n m start src tgt agree") == 6
 
 
-def test_bench_infeasible(capsys):
-    code = main(["bench", "matching", "--n", "4", "--m", "100", "--seed", "1"])
-    assert code == EXIT_INFEASIBLE
+def test_verify_flags_override_the_standard_grid(capsys):
+    assert main(["verify", "vgeo-dir", "egeo-dir", "--n", "1", "--m", "0",
+                 "--trials", "2"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.count("summary: 2/2 agree, 0 indeterminate") == 2
+    with pytest.raises(SystemExit):
+        main(["verify", "no-such-reduction"])
 
 
 def test_play_full_game(tmp_path, capsys, monkeypatch):
@@ -300,6 +316,21 @@ def test_engine_first_move_agrees_across_methods(tmp_path, capsys, monkeypatch):
         out = capsys.readouterr().out
         plays.append([line for line in out.splitlines() if line.startswith("engine plays")])
     assert plays[0] == plays[1] == ["engine plays: 0 1"]
+
+
+def test_play_matching_routes_the_start_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(pos, conv):
+        calls.append(pos)
+        return poly_solve(pos, conv)
+
+    monkeypatch.setattr("mgg.cli.poly_solve", counted)
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    path = write(tmp_path, "p.pos", EDGE_BIP)
+    assert main(["play", path, "--engine-first", "--method", "matching"]) == EXIT_INPUT
+    assert "engine plays: 0 1" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_poly_solve_dispatch():

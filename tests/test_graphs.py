@@ -54,9 +54,6 @@ def test_loops_are_ordinary_edges():
     assert g.has_loop(0)
     assert not g.has_loop(1)
     assert g.neighbors(0) == (0, 1)
-    assert g.without_loops().edges == ((0, 1),)
-    loop_free = g.without_loops()
-    assert loop_free.without_loops() is loop_free
 
 
 def test_bipartition_path():
