@@ -7,7 +7,8 @@ router `polysolve.poly_solve` first, the exhaustive search when it declines
 Exit codes are a stable contract: 0 solved/agree, 1 input error, 2 budget
 exhausted or indeterminate, 3 disagreement found, 4 requested method not
 applicable (including a position beyond the exhaustive solver's 128-vertex
-or 128-arc bitset cap), 5 infeasible grid.
+or 128-arc bitset cap, or beyond the engine's nimg move-bit cap), 5
+infeasible grid.
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ EXIT_BUDGET = 2
 EXIT_DISAGREE = 3
 EXIT_NOT_APPLICABLE = 4
 EXIT_INFEASIBLE = 5
+
+#: Smallest value of each `verify` grid flag that leaves a trial to draw.
+_GRID_FLOORS = {"n": 1, "m": 0, "wmax": 1, "trials": 1}
+
 
 def format_move(variant: str, m: Move) -> str:
     if variant == NIMG_RM:
@@ -164,6 +169,11 @@ def cmd_verify(args) -> int:
     """
     given = {f.name: getattr(args, f.name) for f in fields(Grid)}
     given = {key: value for key, value in given.items() if value is not None}
+    for key, floor in _GRID_FLOORS.items():
+        if given.get(key, floor) < floor:
+            print(f"infeasible grid: --{key} must be >= {floor}, got {given[key]}",
+                  file=sys.stderr)
+            return EXIT_INFEASIBLE
     flags = Counter()
     for name in args.names or REDUCTIONS:
         grid = replace(REDUCTIONS[name].grid, **given)
@@ -240,6 +250,13 @@ def cmd_play(args) -> int:
         except NotApplicable as exc:
             print(f"not applicable: {exc}", file=sys.stderr)
             return EXIT_NOT_APPLICABLE
+    try:
+        return _play(pos, conv, args, routed)
+    except CapacityError as exc:
+        return _capacity_error(exc)
+
+
+def _play(pos: Position, conv: Convention, args, routed) -> int:
     human_turn = not args.engine_first
     while True:
         _print_board(pos, conv, human_turn)
@@ -266,10 +283,7 @@ def cmd_play(args) -> int:
                 except (ValueError, IllegalMoveError) as exc:
                     print(f"illegal move: {exc}")
         else:
-            try:
-                move = _engine_move(pos, conv, args.method, args.budget, routed)
-            except CapacityError as exc:
-                return _capacity_error(exc)
+            move = _engine_move(pos, conv, args.method, args.budget, routed)
             print(f"engine plays: {format_move(pos.variant, move)}")
             pos = apply_move(pos, move)
         routed = None  # it answered the start position only

@@ -63,6 +63,14 @@ class IllegalMoveError(ValueError):
     pass
 
 
+class CapacityError(RuntimeError):
+    """A position beyond a documented size cap of the engine or the solver."""
+
+
+#: Widest move-bit int a nimg engine builds: largest degree times 2^B bits.
+MOVE_BITS_CAP = 1 << 24
+
+
 @dataclass(frozen=True, order=True)
 class Move:
     """Destination plus, for nimg variants, the new weight `k`.
@@ -258,10 +266,11 @@ _RULES = {VGEO: _vgeo_rules, EGEO: _egeo_rules, NIMG_RM: _nimg_rm_rules, NIMG_MR
 class _Engine:
     """The game of one root position, over packed int keys.
 
-    Keys are defined for the positions reachable from the root.  The engine
-    itself has no size cap: the solver's bitset contract is enforced by
-    `mgg.search`, so the strategy certifier and the views can walk geography
-    positions of any size.
+    Keys are defined for the positions reachable from the root.  The only
+    cap here is `MOVE_BITS_CAP` on nimg roots, checked before any move bits
+    exist; the solver's bitset contract is enforced by `mgg.search`, so the
+    strategy certifier and the views can walk geography positions of any
+    size.
     """
 
     def __init__(self, root: Position):
@@ -271,6 +280,12 @@ class _Engine:
         self.cur_mask = (1 << sh) - 1
         if root.variant in NIMG_VARIANTS:
             self.field = b = max(1, max(root.weights).bit_length())
+            # nimg-rm treats a vertex without neighbours as having one target
+            width = max(1, max(map(len, g.adjacency))) << b
+            if width > MOVE_BITS_CAP:
+                raise CapacityError(
+                    f"nimg move bits limited to {MOVE_BITS_CAP} per state; "
+                    f"this position needs {width}")
             self.offsets = [sh + b * v for v in range(g.n)]
         self.move_bits, self.child, self.decode, self.encode, self.move = (
             _RULES[root.variant](self))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .kernel import EGEO, VGEO, Convention, Move, Position, _Engine
+from .kernel import EGEO, VGEO, CapacityError, Convention, Move, Position, _Engine
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -30,10 +30,6 @@ BITSET_CAP = 128
 class Outcome(Enum):
     N = "N"
     P = "P"
-
-
-class CapacityError(RuntimeError):
-    pass
 
 
 class BudgetExhausted(RuntimeError):

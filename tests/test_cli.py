@@ -187,6 +187,27 @@ def test_capacity_error_is_not_applicable(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: ") and "128" in err
 
 
+def test_move_bit_cap_stops_heavy_weights_before_they_allocate(tmp_path, capsys, monkeypatch):
+    # vertex 0: 2 targets x 2^25 move bits each (weights of 25 bits), one 8 MiB int
+    heavy = ODD_HEAVY.replace("w 0 2\nw 1 2\nw 2 2", f"w 0 {1 << 24}\nw 1 1\nw 2 1")
+    path = write(tmp_path, "p.pos", heavy)
+    tracemalloc.start()
+    try:
+        code = main(["solve", path, "--budget", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == EXIT_NOT_APPLICABLE
+    assert err.startswith("error: nimg move bits") and len(err.strip().splitlines()) == 1
+    assert peak < 8 << 20
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    assert main(["play", path, "--engine-first"]) == EXIT_NOT_APPLICABLE
+    assert main(["verify", "nimg-mr", "--wmax", str(1 << 25), "--trials", "3",
+                 "--counterexamples", str(tmp_path / "cx")]) == EXIT_NOT_APPLICABLE
+    assert capsys.readouterr().err.count("error: nimg move bits") == 2
+
+
 def test_reduce_writes_target_and_namemap(tmp_path, capsys):
     out_path = str(tmp_path / "out.pos")
     code = main(["reduce", "vgeo-dir", write(tmp_path, "t.pos", VGEO_TRI), out_path])
@@ -256,10 +277,16 @@ def test_verify_budget_exit(tmp_path, capsys):
     assert "indeterminate" in capsys.readouterr().out
 
 
-def test_verify_infeasible_grid(capsys):
-    code = main(["verify", "vgeo-dir", "--n", "0"])
+@pytest.mark.parametrize("flag,value,floor", [
+    ("--n", "0", 1), ("--m", "-1", 0), ("--wmax", "0", 1), ("--trials", "0", 1),
+    ("--trials", "-3", 1),
+], ids=["n", "m", "wmax", "trials", "trials-negative"])
+def test_verify_infeasible_grid(capsys, flag, value, floor):
+    code = main(["verify", "vgeo-dir", flag, value])
     assert code == EXIT_INFEASIBLE
-    assert capsys.readouterr().err.startswith("infeasible grid: ")
+    out, err = capsys.readouterr()
+    assert out == ""  # rejected before the trial header
+    assert err == f"infeasible grid: {flag} must be >= {floor}, got {value}\n"
 
 
 def test_verify_without_names_runs_every_standard_grid(tmp_path, capsys):
