@@ -184,8 +184,9 @@ def cmd_verify(args) -> int:
                 master_seed=args.seed, budget=args.budget, loops=grid.loops,
                 all_starts=grid.all_starts,
             )
-            print("trial seed n m start src tgt agree")
             for index, (report, pos, out) in enumerate(trials):
+                if not index:  # with the first trial: an error before it prints nothing
+                    print("trial seed n m start src tgt agree")
                 src = report.source_outcome.value if report.source_outcome else "-"
                 tgt = report.target_outcome.value if report.target_outcome else "-"
                 flag = {True: "yes", False: "NO", None: "budget"}[report.agree]
@@ -259,8 +260,9 @@ def cmd_play(args) -> int:
 def _play(pos: Position, conv: Convention, args, routed) -> int:
     human_turn = not args.engine_first
     while True:
+        over = is_terminal(pos)  # may raise CapacityError, so before any output
         _print_board(pos, conv, human_turn)
-        if is_terminal(pos):
+        if over:
             stuck = "you" if human_turn else "engine"
             if conv is Convention.NORMAL:
                 winner = "engine" if human_turn else "you"

@@ -8,8 +8,9 @@ pure, so graphs can be shared freely between concurrent solver runs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 UNDIRECTED = "undirected"
@@ -53,14 +54,17 @@ class Graph:
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Out-neighbours per vertex, ascending.  A loop lists u in adj[u] once.
 
-        For undirected graphs this is the ordinary (symmetric) adjacency.
+        For undirected graphs this is the ordinary (symmetric) adjacency.  It
+        is the one neighbour structure: the structural queries, the solvers
+        and every matcher read it.  The edge list is sorted and duplicate-free,
+        so appending in edge order builds each list in ascending order.
         """
-        nbrs: list[set[int]] = [set() for _ in range(self.n)]
+        nbrs: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
-            nbrs[u].add(v)
-            if not self.directed:
-                nbrs[v].add(u)
-        return tuple(tuple(sorted(s)) for s in nbrs)
+            nbrs[u].append(v)
+            if not self.directed and u != v:
+                nbrs[v].append(u)
+        return tuple(map(tuple, nbrs))
 
     def neighbors(self, u: int) -> tuple[int, ...]:
         return self.adjacency[u]
@@ -134,24 +138,21 @@ def bipartition(g: Graph) -> Bipartition | None:
 class Relabeling:
     """Dense relabeling produced by induced_subgraph.
 
-    ``old_ids[new] -> old`` translates solver moves back to the source graph;
-    ``to_new`` goes the other way.
+    ``old_ids[new] -> old``, ascending, translates solver moves back to the
+    source graph; ``to_new`` goes the other way by bisection.
     """
 
     old_ids: tuple[int, ...]
-    _new_ids: dict[int, int] = field(repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        self._new_ids.update({old: new for new, old in enumerate(self.old_ids)})
 
     def to_old(self, v: int) -> int:
         return self.old_ids[v]
 
     def to_new(self, v: int) -> int:
-        return self._new_ids[v]
-
-    def __contains__(self, old: int) -> bool:
-        return old in self._new_ids
+        """New id of kept vertex `v`; KeyError if `v` was not kept."""
+        i = bisect_left(self.old_ids, v)
+        if i == len(self.old_ids) or self.old_ids[i] != v:
+            raise KeyError(v)
+        return i
 
 
 def induced_subgraph(g: Graph, keep) -> tuple[Graph, Relabeling]:
@@ -165,12 +166,10 @@ def induced_subgraph(g: Graph, keep) -> tuple[Graph, Relabeling]:
     relab = Relabeling(tuple(kept))
     if len(kept) == g.n:  # every vertex: the identity relabelling of g itself
         return g, relab
-    keep_set = set(kept)
-    edges = [
-        (relab.to_new(u), relab.to_new(v))
-        for u, v in g.edges
-        if u in keep_set and v in keep_set
-    ]
+    new = [-1] * g.n
+    for i, old in enumerate(kept):
+        new[old] = i
+    edges = [(new[u], new[v]) for u, v in g.edges if new[u] >= 0 and new[v] >= 0]
     return Graph(len(kept), tuple(edges), g.directed), relab
 
 

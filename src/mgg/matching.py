@@ -16,10 +16,12 @@ matcher and the coverage query share `find_augmenting_path`: a blossom
 contraction relabels the members of the blossom only, not every vertex, so
 a search costs in proportion to the tree it grows.
 
-Loops are stripped before matching; a loop can never be in a matching.
-Augmenting searches scan vertices in ascending order, and a contraction
-queues the blossom's new outer vertices in ascending order, so every route
-is deterministic.
+Every matcher reads the graph's own `Graph.adjacency`.  A loop can never
+be in a matching: the searches skip it, and a bipartition admits none.
+The coverage query searches G - u on that same adjacency, with u hidden
+from the search rather than copied out.  Augmenting searches scan vertices
+in ascending order, and a contraction queues the blossom's new outer
+vertices in ascending order, so every route is deterministic.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def _mate_array(match: list[int]) -> tuple[int | None, ...]:
     return tuple(v if v >= 0 else None for v in match)
 
 
-def _hopcroft_karp(n: int, left: list[int], adj: list[list[int]]):
+def _hopcroft_karp(n: int, left: list[int], adj: tuple[tuple[int, ...], ...]):
     """Layered phase matching; returns (match array, phase count)."""
     match = [-1] * n
     for u in left:  # greedy start trims phases without affecting the bound
@@ -153,46 +155,37 @@ def _hopcroft_karp(n: int, left: list[int], adj: list[list[int]]):
     return match, phases
 
 
-def _adjacency(g: Graph, skip: int = -1) -> list[list[int]]:
-    """Ascending neighbour lists without loops, and without vertex `skip`."""
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        if u == v or u == skip or v == skip:
-            continue
-        adj[u].append(v)
-        adj[v].append(u)
-    for lst in adj:
-        lst.sort()
-    return adj
-
-
-def _bipartite_match(g: Graph, b: Bipartition):
-    _require_undirected(g)
-    _check_bipartition(g, b)
-    return _hopcroft_karp(g.n, sorted(b.left), _adjacency(g))
-
-
 def max_matching_bipartite(g: Graph, b: Bipartition) -> Matching:
-    match, _ = _bipartite_match(g, b)
-    return Matching(_mate_array(match))
+    return max_matching_bipartite_with_phases(g, b)[0]
 
 
 def max_matching_bipartite_with_phases(g: Graph, b: Bipartition) -> tuple[Matching, int]:
-    match, phases = _bipartite_match(g, b)
+    """Layered-phase maximum matching of `g` across `b`, and its phase count."""
+    _require_undirected(g)
+    _check_bipartition(g, b)
+    match, phases = _hopcroft_karp(g.n, sorted(b.left), g.adjacency)
     return Matching(_mate_array(match)), phases
 
 
-def find_augmenting_path(adj: list[list[int]], match: list[int], root: int) -> list[int] | None:
+def find_augmenting_path(
+    adj: tuple[tuple[int, ...], ...], match: list[int], root: int, hidden: int | None = None
+) -> list[int] | None:
     """Edmonds' blossom search for an augmenting path from exposed `root`.
 
-    `match[v]` is v's mate or -1.  Returns the path as ``[end, p(end), ...,
-    root]``, where flipping each pair ``(path[2i], path[2i+1])`` to matched
-    augments `match`, or None when no augmenting path starts at `root`.
-    `match` is not modified.  A contraction relabels only the members of the
-    blossom it contracts, in ascending id order.
+    `adj` is a graph's `Graph.adjacency`, whose loops the search skips, and
+    `match[v]` is v's mate or -1.  The search runs on G - `hidden`, for an
+    exposed vertex `hidden`: giving it a parent before the search starts
+    keeps the search from ever entering it.  Returns the path as ``[end,
+    p(end), ..., root]``, where flipping each pair ``(path[2i],
+    path[2i+1])`` to matched augments `match`, or None when no augmenting
+    path starts at `root`.  `match` is not modified.  A contraction
+    relabels only the members of the blossom it contracts, in ascending id
+    order.
     """
     n = len(adj)
     parent = [-1] * n
+    if hidden is not None:
+        parent[hidden] = hidden
     base = list(range(n))
     used = [False] * n  # outer vertices, the ones queued for scanning
     used[root] = True
@@ -257,12 +250,12 @@ def find_augmenting_path(adj: list[list[int]], match: list[int], root: int) -> l
 def max_matching_general(g: Graph) -> Matching:
     """Blossom-contraction matching on an arbitrary undirected graph."""
     _require_undirected(g)
-    adj = _adjacency(g)
+    adj = g.adjacency
     match = [-1] * g.n
     for u in range(g.n):  # deterministic greedy seed
         if match[u] < 0:
             for v in adj[u]:
-                if match[v] < 0:
+                if v != u and match[v] < 0:
                     match[u] = v
                     match[v] = u
                     break
@@ -302,7 +295,7 @@ def covered_by_all_maximum_matchings(g: Graph, u: int, matching: Matching | None
         return False
     match = [-1 if v is None else v for v in matching.mate]
     match[u] = match[mate] = -1
-    return find_augmenting_path(_adjacency(g, skip=u), match, mate) is None
+    return find_augmenting_path(g.adjacency, match, mate, hidden=u) is None
 
 
 def brute_force_matching_size(g: Graph) -> int:

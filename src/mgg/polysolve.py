@@ -16,9 +16,9 @@ Covered classes, all returning (outcome, winning policy or None):
   start and reduces to the weight-one case.
 
 All four apply one criterion path: each induces one subgraph, computes one
-maximum matching of it, and `_criterion` turns the two into the coverage
-answer and the mate map in original ids, which `_follow` plays.  The
-matchers ignore loops, so no subgraph needs its loops stripped.
+maximum matching of it, and `_criterion` turns the two into the outcome
+and, on a win, the policy that `_follow`s the matching in original ids.
+The matchers skip loops, so no subgraph needs its loops stripped.
 
 `poly_solve` routes a position to the strongest applicable solver.  Inputs
 outside a solver's class raise NotApplicable so callers can fall back to the
@@ -64,20 +64,26 @@ def preprocess_positive(p: Position):
     return Position(NIMG_RM, sub, relab.to_new(p.current), weights), relab
 
 
-def _criterion(sub: Graph, relab: Relabeling, vertex: int, matching: Matching):
-    """(every maximum matching of `sub` covers `vertex`?, mate map).
+def _criterion(sub: Graph, relab: Relabeling, vertex: int, matching: Matching,
+               k: int | None = 0) -> tuple[Outcome, Policy | None]:
+    """(outcome, winning policy or None) of the matching criterion.
 
+    The mover wins iff every maximum matching of `sub` covers `vertex`.
     `sub` is induced by `relab`, `matching` is one of its maximum
-    matchings, and `vertex` and the mate map use the original ids.
+    matchings, and `vertex` uses the original ids.
     """
-    covered = covered_by_all_maximum_matchings(sub, relab.to_new(vertex), matching)
+    if not covered_by_all_maximum_matchings(sub, relab.to_new(vertex), matching):
+        return Outcome.P, None
+    return Outcome.N, Policy(_follow(relab, matching, k), "matching-following")
+
+
+def _follow(relab: Relabeling, matching: Matching, k: int | None = 0):
+    """The choose that moves to the current vertex's mate, leaving `k` tokens.
+
+    `matching` is a matching of the subgraph induced by `relab`.
+    """
     old = relab.old_ids
     mate = {old[u]: old[v] for u, v in enumerate(matching.mate) if v is not None}
-    return covered, mate
-
-
-def _follow(mate: dict[int, int], k: int | None = 0):
-    """The choose that moves to the current vertex's mate, leaving `k` tokens."""
 
     def choose(q: Position) -> Move:
         to = mate.get(q.current)
@@ -100,10 +106,7 @@ def solve_vgeo_undirected_normal(p: Position) -> tuple[Outcome, Policy | None]:
     if p.graph.directed:
         raise NotApplicable("directed graph")
     sub, relab = induced_subgraph(p.graph, set(range(p.graph.n)) - p.removed_vertices)
-    covered, mate = _criterion(sub, relab, p.current, max_matching_general(sub))
-    if not covered:
-        return Outcome.P, None
-    return Outcome.N, Policy(_follow(mate, None), "matching-following")
+    return _criterion(sub, relab, p.current, max_matching_general(sub), None)
 
 
 def solve_weight1_rm_misere(p: Position) -> tuple[Outcome, Policy | None]:
@@ -122,10 +125,7 @@ def solve_weight1_rm_misere(p: Position) -> tuple[Outcome, Policy | None]:
     if any(w != 1 for w in p.weights):
         raise NotApplicable("weights must all equal one")
     sub, relab = induced_subgraph(p.graph, range(p.graph.n))
-    covered, mate = _criterion(sub, relab, p.current, max_matching_general(sub))
-    if not covered:
-        return Outcome.P, None
-    return Outcome.N, Policy(_follow(mate), "matching-following")
+    return _criterion(sub, relab, p.current, max_matching_general(sub))
 
 
 def _degenerate_pile(p: Position) -> tuple[Outcome, Policy | None]:
@@ -164,17 +164,14 @@ def solve_bipartite_rm_misere(p: Position) -> tuple[Outcome, Policy | None]:
         raise NotApplicable("graph is not bipartite")
     if not p.graph.adjacency[p.current]:
         return _degenerate_pile(p)
-    covered, mate = _criterion(sub, relab, p.current, max_matching_bipartite(sub, b))
-    if not covered:
-        return Outcome.P, None
-    return Outcome.N, Policy(_follow(mate), "matching-following")
+    return _criterion(sub, relab, p.current, max_matching_bipartite(sub, b))
 
 
-def _light_criterion(g: Graph, weights, vertex: int):
-    """`_criterion` on the light component of `vertex`, which holds one token.
+def _light_matching(g: Graph, weights, vertex: int):
+    """(subgraph, relabeling, maximum matching) of the light component.
 
-    The light component is the connected component of `vertex` among the
-    vertices holding exactly one token.
+    The light component is the connected component of `vertex`, which holds
+    one token, among the vertices holding exactly one token.
     """
     comp, stack = {vertex}, [vertex]
     while stack:
@@ -183,14 +180,15 @@ def _light_criterion(g: Graph, weights, vertex: int):
                 comp.add(v)
                 stack.append(v)
     sub, relab = induced_subgraph(g, comp)
-    return _criterion(sub, relab, vertex, max_matching_general(sub))
+    return sub, relab, max_matching_general(sub)
 
 
 def _loops_outcome(g: Graph, weights, vertex: int) -> Outcome:
     """Outcome of the all-loops game with the pointer on `vertex`."""
     if weights[vertex] != 1:
         return Outcome.N  # no token: the mover has won; two or more: stall
-    return Outcome.N if _light_criterion(g, weights, vertex)[0] else Outcome.P
+    sub, relab, matching = _light_matching(g, weights, vertex)
+    return _criterion(sub, relab, vertex, matching)[0]
 
 
 def solve_loops_rm_misere(p: Position) -> tuple[Outcome, Policy | None]:
@@ -221,8 +219,8 @@ def solve_loops_rm_misere(p: Position) -> tuple[Outcome, Policy | None]:
         if w[cur] == 0:
             raise ValueError("terminal position: the mover has already won")
         if w[cur] == 1:  # the weight-one game on the light component
-            _, mate = _light_criterion(r.graph, w, cur)
-            return _follow(mate)(r)
+            _, relab, matching = _light_matching(r.graph, w, cur)
+            return _follow(relab, matching)(r)
         drained = w[:cur] + (0,) + w[cur + 1:]
         for v in r.graph.adjacency[cur]:
             # Move(v, 0) leads to the opponent on v with `drained`

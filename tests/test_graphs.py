@@ -56,6 +56,17 @@ def test_loops_are_ordinary_edges():
     assert g.neighbors(0) == (0, 1)
 
 
+@settings(max_examples=200)
+@given(st.booleans().flatmap(lambda d: graphs(max_n=8, directed=d, allow_loops=True)))
+def test_adjacency_matches_the_set_definition(g):
+    nbrs = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        nbrs[u].add(v)
+        if not g.directed:
+            nbrs[v].add(u)
+    assert g.adjacency == tuple(tuple(sorted(s)) for s in nbrs)
+
+
 def test_bipartition_path():
     g = build_graph("undirected", 3, [(0, 1), (1, 2)])
     assert bipartition(g) == Bipartition(frozenset({0, 2}), frozenset({1}))
@@ -101,6 +112,8 @@ def test_induced_triangle_pair():
     assert sub.n == 2
     assert sub.edges == ((0, 1),)
     assert relab.to_new(1) == 1
+    with pytest.raises(KeyError):
+        relab.to_new(2)  # not kept
 
 
 def test_induced_gadget_minus_entry():
@@ -130,6 +143,9 @@ def test_induced_preserves_adjacency(g, data):
         for v in keep:
             lhs = sub.has_edge(relab.to_new(u), relab.to_new(v))
             assert lhs == g.has_edge(u, v)
+    for u in set(range(g.n)) - keep:
+        with pytest.raises(KeyError):
+            relab.to_new(u)
 
 
 def test_component_isolated():

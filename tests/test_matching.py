@@ -89,6 +89,36 @@ def test_loops_are_stripped():
     assert m.mate[0] == 1 and m.mate[1] == 0
 
 
+def test_matchers_search_the_graphs_own_adjacency(monkeypatch):
+    # no private neighbour lists: every search gets the matched graph's
+    # `adjacency`, loops and all, and the coverage query copies none for G - u
+    import mgg.matching as matching
+
+    seen = []  # (search, adjacency it was given)
+    for name, adj_arg in (("_hopcroft_karp", 2), ("find_augmenting_path", 0)):
+        def spy(*args, _orig=getattr(matching, name), _name=name, _i=adj_arg, **kw):
+            seen.append((_name, args[_i]))
+            return _orig(*args, **kw)
+
+        monkeypatch.setattr(matching, name, spy)
+    rng = random.Random(5)
+    searches = set()
+    for _ in range(40):
+        n = rng.randrange(2, 9)
+        cands = [(i, j) for i in range(n) for j in range(i, n)]
+        g = build_graph("undirected", n, rng.sample(cands, rng.randrange(len(cands) + 1)))
+        m = max_matching_general(g)
+        for u in range(n):
+            covered_by_all_maximum_matchings(g, u, m)
+        b = bipartition(g)
+        if b is not None:
+            max_matching_bipartite(g, b)
+        assert all(adj is g.adjacency for _, adj in seen)
+        searches.update(name for name, _ in seen)
+        seen.clear()
+    assert searches == {"_hopcroft_karp", "find_augmenting_path"}
+
+
 def test_matching_is_deterministic():
     g = petersen()
     assert max_matching_general(g) == max_matching_general(g)

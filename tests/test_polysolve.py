@@ -255,7 +255,7 @@ def test_loop_moves_never_help_at_weight_one():
 # ------------------------------------------------------- one matching a solve
 
 def _count_calls(monkeypatch):
-    """Record every maximum-matcher, `induced_subgraph` and
+    """Record every maximum-matcher, coverage-query, `induced_subgraph` and
     `preprocess_positive` call, through any module's global."""
     import mgg.graphs as graphs
     import mgg.matching as matching
@@ -264,6 +264,7 @@ def _count_calls(monkeypatch):
     calls = []
     for home, name in ((matching, "max_matching_general"),
                        (matching, "max_matching_bipartite"),
+                       (matching, "covered_by_all_maximum_matchings"),
                        (graphs, "induced_subgraph"),
                        (polysolve, "preprocess_positive")):
         def counted(*args, _orig=getattr(home, name), _name=name):
@@ -276,13 +277,15 @@ def _count_calls(monkeypatch):
 
 
 def test_each_matching_solve_runs_one_maximum_matching(monkeypatch):
-    # one induced subgraph and one maximum matching per solve and per probe
-    # of the loops policy; no solver preprocesses through a Position
+    # one induced subgraph, one maximum matching and one coverage query per
+    # solve and per probe of the loops policy; a weight-one move of that
+    # policy needs the matching only; no solver preprocesses through a Position
     from mgg.polysolve import _loops_outcome
 
     calls = _count_calls(monkeypatch)
     rng = random.Random(7)
     outcomes = set()
+    weight_one_moves = 0
     for _ in range(40):
         g = random_connected_bipartite(rng.randrange(2, 8), rng)
         s = rng.randrange(g.n)
@@ -297,13 +300,22 @@ def test_each_matching_solve_runs_one_maximum_matching(monkeypatch):
         ]
         for solver, p, matcher in cases:
             calls.clear()
-            outcomes.add(solver(p)[0])
-            assert calls == ["induced_subgraph", f"max_matching_{matcher}"], solver.__name__
+            outcome, policy = solver(p)
+            outcomes.add(outcome)
+            criterion = ["induced_subgraph", f"max_matching_{matcher}",
+                         "covered_by_all_maximum_matchings"]
+            assert calls == criterion, solver.__name__
             if solver is solve_loops_rm_misere:
                 calls.clear()
                 _loops_outcome(p.graph, p.weights, p.current)
-                assert calls == ["induced_subgraph", "max_matching_general"]
+                assert calls == criterion
+                if policy is not None:  # N with one token under the pointer
+                    calls.clear()
+                    policy.choose(p)
+                    assert calls == criterion[:2]
+                    weight_one_moves += 1
     assert outcomes == {Outcome.N, Outcome.P}
+    assert weight_one_moves
 
 
 # ------------------------------------- empty vertices inside the matching classes
