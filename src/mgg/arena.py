@@ -16,7 +16,7 @@ from .graphs import DIRECTED, UNDIRECTED, Graph, build_graph
 from .kernel import NIMG_VARIANTS, VARIANTS, Convention, Position, _Engine
 from .polysolve import StrategyBreakdown
 from .posfile import serialize_position
-from .reductions import REDUCTIONS, ReductionOutput
+from .reductions import REDUCTIONS, Grid, ReductionOutput
 from .search import DEFAULT_BUDGET, Outcome, Policy, solve
 
 LOOP_MODES = ("none", "all", "free")
@@ -202,8 +202,10 @@ def run_reduction_grid(
 
     Each trial draws sizes up to (n, m) from its own mixed seed.  With
     all_starts every vertex of the drawn graph is checked under the same
-    descriptor.
+    descriptor.  A grid that leaves no trial to draw raises InfeasibleGrid
+    before the first draw.
     """
+    Grid(n, m, weight_bound, trials, loops, all_starts)
     entry = REDUCTIONS[name]
     kind = entry.source_kind if entry.source_kind != "any" else UNDIRECTED
     for index in range(trials):
@@ -239,9 +241,11 @@ def write_counterexample(
     """Persist a disagreeing trial as a replayable bundle.
 
     Layout: source.pos, target.pos, namemap.txt (`src-entity -> tgt-vertex`),
-    report.txt.  Returns the bundle directory.
+    report.txt, in `{reduction}-seed{seed}-start{start}` under `directory`:
+    every start of one trial shares its seed.  Returns the bundle directory.
     """
-    bundle = os.path.join(directory, f"{report.reduction}-seed{report.seed}")
+    bundle = os.path.join(
+        directory, f"{report.reduction}-seed{report.seed}-start{source.current}")
     os.makedirs(bundle, exist_ok=True)
     with open(os.path.join(bundle, "source.pos"), "w", encoding="utf-8") as fh:
         fh.write(serialize_position(source, source_convention))

@@ -4,11 +4,22 @@
 router `polysolve.poly_solve` first, the exhaustive search when it declines
 (`--method` picks either alone).
 
-Exit codes are a stable contract: 0 solved/agree, 1 input error, 2 budget
-exhausted or indeterminate, 3 disagreement found, 4 requested method not
-applicable (including a position beyond the exhaustive solver's 128-vertex
-or 128-arc bitset cap, or beyond the engine's nimg move-bit cap), 5
-infeasible grid.
+Commands raise; `main` maps each failure once, through `_FAILURES`, to an
+exit code and one stderr line, and lets any other exception through.  The
+exit codes are a stable contract:
+
+- 0: solved, or every trial agreed.
+- 1: a usage error (argparse's usage line, then `mgg CMD: error: ...`);
+  `error: ...` for a file that cannot be read, decoded as UTF-8, parsed or
+  written (naming the file), a `--budget` below 1 or a source the reduction
+  rejects; end of input in `play`.
+- 2: budget exhausted, or a trial indeterminate.
+- 3: a reduction disagreed; each such trial is written as a bundle
+  `{reduction}-seed{seed}-start{start}` under `--counterexamples`.
+- 4: `not applicable: ...` when the method does not cover the position;
+  `error: ...` for a position beyond the exhaustive solver's 128-vertex or
+  128-arc bitset cap, or beyond the engine's nimg move-bit cap.
+- 5: `infeasible grid: ...` for --n < 1, --m < 0, --wmax < 1 or --trials < 1.
 """
 
 from __future__ import annotations
@@ -32,8 +43,8 @@ from .kernel import (
     is_terminal,
 )
 from .polysolve import NotApplicable, poly_solve
-from .posfile import PositionParseError, read_position, write_position
-from .reductions import REDUCTIONS, Grid
+from .posfile import read_position, write_position
+from .reductions import REDUCTIONS, Grid, InfeasibleGrid
 from .search import DEFAULT_BUDGET, CapacityError, Outcome, solve
 
 EXIT_OK = 0
@@ -43,8 +54,14 @@ EXIT_DISAGREE = 3
 EXIT_NOT_APPLICABLE = 4
 EXIT_INFEASIBLE = 5
 
-#: Smallest value of each `verify` grid flag that leaves a trial to draw.
-_GRID_FLOORS = {"n": 1, "m": 0, "wmax": 1, "trials": 1}
+#: (exception type, exit code, stderr label) of each failure; the first match wins.
+_FAILURES = (
+    (NotApplicable, EXIT_NOT_APPLICABLE, "not applicable"),
+    (CapacityError, EXIT_NOT_APPLICABLE, "error"),
+    (InfeasibleGrid, EXIT_INFEASIBLE, "infeasible grid"),
+    (OSError, EXIT_INPUT, "error"),
+    (ValueError, EXIT_INPUT, "error"),
+)
 
 
 def format_move(variant: str, m: Move) -> str:
@@ -70,22 +87,6 @@ def parse_move(variant: str, text: str) -> Move:
     return Move(int(parts[0]))
 
 
-def _load(path: str):
-    try:
-        return read_position(path)
-    except FileNotFoundError:
-        print(f"error: no such file: {path}", file=sys.stderr)
-        return None
-    except PositionParseError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return None
-
-
-def _capacity_error(exc: CapacityError) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    return EXIT_NOT_APPLICABLE
-
-
 def _answer(pos: Position, conv: Convention, method: str, budget: int, routed=None):
     """(outcome, winning move or None, solver name, policy, states expanded).
 
@@ -109,18 +110,8 @@ def _answer(pos: Position, conv: Convention, method: str, budget: int, routed=No
 
 
 def cmd_solve(args) -> int:
-    loaded = _load(args.position)
-    if loaded is None:
-        return EXIT_INPUT
-    pos, conv = loaded
-    try:
-        outcome, move, solver_name, policy, states = _answer(
-            pos, conv, args.method, args.budget)
-    except NotApplicable as exc:
-        print(f"not applicable: {exc}", file=sys.stderr)
-        return EXIT_NOT_APPLICABLE
-    except CapacityError as exc:
-        return _capacity_error(exc)
+    pos, conv = read_position(args.position)
+    outcome, move, solver_name, policy, states = _answer(pos, conv, args.method, args.budget)
     if outcome is None:
         print(f"budget exhausted after {states} states")
         return EXIT_BUDGET
@@ -136,19 +127,11 @@ def cmd_solve(args) -> int:
 
 def cmd_reduce(args) -> int:
     entry = REDUCTIONS[args.name]
-    loaded = _load(args.input)
-    if loaded is None:
-        return EXIT_INPUT
-    pos, conv = loaded
+    pos, conv = read_position(args.input)
     if conv is not Convention.NORMAL:
-        print("error: reductions take normal-convention sources", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        entry.check_source(pos)
-        out = entry.apply(pos)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("reductions take normal-convention sources")
+    entry.check_source(pos)
+    out = entry.apply(pos)
     write_position(args.output, out.position, out.target_convention)
     namemap = args.namemap or args.output + ".namemap"
     write_name_map(namemap, out.name_map)
@@ -165,46 +148,35 @@ def cmd_verify(args) -> int:
     """Cross-check each named reduction (default: all) on its standard grid.
 
     A grid flag given on the command line overrides that part of every
-    grid.  An infeasible grid stops the run at once.
+    grid.  Every grid is built, and so checked, before anything prints.
     """
-    given = {f.name: getattr(args, f.name) for f in fields(Grid)}
-    given = {key: value for key, value in given.items() if value is not None}
-    for key, floor in _GRID_FLOORS.items():
-        if given.get(key, floor) < floor:
-            print(f"infeasible grid: --{key} must be >= {floor}, got {given[key]}",
-                  file=sys.stderr)
-            return EXIT_INFEASIBLE
+    given = {f.name: v for f in fields(Grid) if (v := getattr(args, f.name)) is not None}
+    grids = [(name, replace(REDUCTIONS[name].grid, **given))
+             for name in args.names or REDUCTIONS]
     flags = Counter()
-    for name in args.names or REDUCTIONS:
-        grid = replace(REDUCTIONS[name].grid, **given)
+    for name, grid in grids:
         tally = Counter()
-        try:
-            trials = run_reduction_grid(
-                name, n=grid.n, m=grid.m, weight_bound=grid.wmax, trials=grid.trials,
-                master_seed=args.seed, budget=args.budget, loops=grid.loops,
-                all_starts=grid.all_starts,
+        trials = run_reduction_grid(
+            name, n=grid.n, m=grid.m, weight_bound=grid.wmax, trials=grid.trials,
+            master_seed=args.seed, budget=args.budget, loops=grid.loops,
+            all_starts=grid.all_starts,
+        )
+        for index, (report, pos, out) in enumerate(trials):
+            if not index:  # with the first trial: an error before it prints nothing
+                print("trial seed n m start src tgt agree")
+            src = report.source_outcome.value if report.source_outcome else "-"
+            tgt = report.target_outcome.value if report.target_outcome else "-"
+            flag = {True: "yes", False: "NO", None: "budget"}[report.agree]
+            tally[flag] += 1
+            print(
+                f"{index} {report.seed} {report.n} {report.m} "
+                f"{pos.current} {src} {tgt} {flag}"
             )
-            for index, (report, pos, out) in enumerate(trials):
-                if not index:  # with the first trial: an error before it prints nothing
-                    print("trial seed n m start src tgt agree")
-                src = report.source_outcome.value if report.source_outcome else "-"
-                tgt = report.target_outcome.value if report.target_outcome else "-"
-                flag = {True: "yes", False: "NO", None: "budget"}[report.agree]
-                tally[flag] += 1
-                print(
-                    f"{index} {report.seed} {report.n} {report.m} "
-                    f"{pos.current} {src} {tgt} {flag}"
+            if report.agree is False:
+                bundle = write_counterexample(
+                    args.counterexamples, report, pos, out.source_convention, out
                 )
-                if report.agree is False:
-                    bundle = write_counterexample(
-                        args.counterexamples, report, pos, out.source_convention, out
-                    )
-                    print(f"counterexample written to {bundle}", file=sys.stderr)
-        except ValueError as exc:
-            print(f"infeasible grid: {exc}", file=sys.stderr)
-            return EXIT_INFEASIBLE
-        except CapacityError as exc:
-            return _capacity_error(exc)
+                print(f"counterexample written to {bundle}", file=sys.stderr)
         print(f"summary: {tally['yes']}/{tally.total()} agree, "
               f"{tally['budget']} indeterminate")
         flags += tally
@@ -240,24 +212,9 @@ def _engine_move(
 
 
 def cmd_play(args) -> int:
-    loaded = _load(args.position)
-    if loaded is None:
-        return EXIT_INPUT
-    pos, conv = loaded
-    routed = None  # the router's answer for the start position, once checked
-    if args.method == "matching":
-        try:
-            routed = poly_solve(pos, conv)
-        except NotApplicable as exc:
-            print(f"not applicable: {exc}", file=sys.stderr)
-            return EXIT_NOT_APPLICABLE
-    try:
-        return _play(pos, conv, args, routed)
-    except CapacityError as exc:
-        return _capacity_error(exc)
-
-
-def _play(pos: Position, conv: Convention, args, routed) -> int:
+    pos, conv = read_position(args.position)
+    # the router's answer for the start position: `matching` must cover it
+    routed = poly_solve(pos, conv) if args.method == "matching" else None
     human_turn = not args.engine_first
     while True:
         over = is_terminal(pos)  # may raise CapacityError, so before any output
@@ -299,8 +256,16 @@ def _reduction_name(text: str) -> str:
     return text
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error (subparsers inherit this): 2 means budget exhausted."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mgg",
         description="Solve, reduce and verify token and geography games on graphs.",
     )
@@ -350,7 +315,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        if getattr(args, "budget", 1) < 1:  # before any output, whichever solver runs
+            raise ValueError("budget must be positive")
+        return args.fn(args)
+    except tuple(row[0] for row in _FAILURES) as exc:
+        _, code, label = next(row for row in _FAILURES if isinstance(exc, row[0]))
+        if isinstance(exc, OSError) and exc.filename is not None:
+            exc = f"{exc.filename}: {exc.strerror}"
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 def entry() -> None:

@@ -42,9 +42,12 @@ _KIND_NAMES = {UNDIRECTED: "ugraph", DIRECTED: "digraph"}
 
 
 class PositionParseError(ValueError):
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+    """A malformed position: the message names the line, and the file when read from one."""
+
+    def __init__(self, message: str, line: int, path=None):
+        where = f"line {line}" if path is None else f"{path}: line {line}"
+        super().__init__(f"{where}: {message}")
+        self.message, self.line = message, line
 
 
 def _integer(name: str, value: str, line: int) -> int:
@@ -163,8 +166,16 @@ def serialize_position(p: Position, convention: Convention) -> str:
 
 
 def read_position(path) -> tuple[Position, Convention]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_position(fh.read())
+    """Parse the file at `path`; a parse or UTF-8 decode error names `path`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return parse_position(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise PositionParseError(f"not UTF-8 text ({exc.reason})", line, path) from None
+    except PositionParseError as exc:
+        raise PositionParseError(exc.message, exc.line, path) from None
 
 
 def write_position(path, p: Position, convention: Convention) -> None:

@@ -191,6 +191,10 @@ def reduce_nimgmr_normal_to_misere(g: Graph, w: WeightMap, u: int) -> ReductionO
     )
 
 
+class InfeasibleGrid(ValueError):
+    """A grid that leaves no trial to draw."""
+
+
 @dataclass(frozen=True)
 class Grid:
     """A reduction's standard cross-check grid for `arena.run_reduction_grid`.
@@ -198,7 +202,7 @@ class Grid:
     `trials` random sources of at most `n` vertices and `m` edges, weights
     up to `wmax`, loops drawn as `loops` says; with `all_starts` every vertex
     of each source is a start.  The defaults are the grid of an entry that
-    names none.
+    names none.  n < 1, m < 0, wmax < 1 or trials < 1 raises InfeasibleGrid.
     """
 
     n: int = 4
@@ -207,6 +211,12 @@ class Grid:
     trials: int = 100
     loops: str = "none"
     all_starts: bool = False
+
+    def __post_init__(self) -> None:
+        for key, floor in (("n", 1), ("m", 0), ("wmax", 1), ("trials", 1)):
+            value = getattr(self, key)
+            if value < floor:
+                raise InfeasibleGrid(f"--{key} must be >= {floor}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from mgg.polysolve import (
     solve_bipartite_rm_misere,
     solve_vgeo_undirected_normal,
 )
-from mgg.reductions import REDUCTIONS
+from mgg.reductions import REDUCTIONS, InfeasibleGrid
 from mgg.search import BITSET_CAP, Outcome, Policy, extract_strategy, solve, state_key
 from oracles import count_reachable, naive_certify
 from strategies import any_fresh_position
@@ -114,6 +114,16 @@ def test_grid_is_deterministic_and_agreeing():
         runs.append(reports)
     assert runs[0] == runs[1]
     assert all(r.agree for r in runs[0])
+
+
+def test_infeasible_grid_raises_before_any_trial(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a trial was drawn")
+
+    monkeypatch.setattr("mgg.arena.mix_seed", no_draw)
+    with pytest.raises(InfeasibleGrid, match="--n must be >= 1, got 0"):
+        next(run_reduction_grid("vgeo-dir", n=0, m=2, weight_bound=1, trials=3,
+                                master_seed=0))
 
 
 def test_verify_strategy_certifies_matching_policy():
@@ -234,6 +244,7 @@ def test_counterexample_bundle_layout(tmp_path):
     p = Position("vgeo", build_graph("directed", 2, [(0, 1)]), 0)
     report, out = check_reduction("vgeo-dir", p, seed=77)
     bundle = write_counterexample(str(tmp_path), report, p, NORM, out)
+    assert os.path.basename(bundle) == "vgeo-dir-seed77-start0"
     names = sorted(os.listdir(bundle))
     assert names == ["namemap.txt", "report.txt", "source.pos", "target.pos"]
     namemap = (tmp_path / os.path.basename(bundle) / "namemap.txt").read_text()

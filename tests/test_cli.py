@@ -1,4 +1,5 @@
 import io
+import re
 import tracemalloc
 
 import pytest
@@ -244,29 +245,42 @@ def test_verify_reports_agreement(tmp_path, capsys):
     assert "summary: 30/30 agree, 0 indeterminate" in out
 
 
-def test_verify_disagreement_exit_and_bundle(tmp_path, capsys):
-    # inject a deliberately wrong construction: identity graph with the
-    # convention flipped, guaranteed to disagree on single-vertex sources
+@pytest.fixture
+def broken(monkeypatch):
+    """Register a deliberately wrong construction, `broken`: the identity
+    with the convention flipped, which disagrees on single-vertex sources."""
     from mgg.reductions import REDUCTIONS, ReductionEntry, ReductionOutput
 
-    broken = ReductionEntry(
+    monkeypatch.setitem(REDUCTIONS, "broken", ReductionEntry(
         "broken", "vgeo", "directed",
         lambda p: ReductionOutput(p, {"0_1": 0}, Convention.NORMAL, Convention.MISERE),
+    ))
+
+
+def test_verify_disagreement_exit_and_bundle(tmp_path, capsys, broken):
+    code = main(
+        ["verify", "broken", "--n", "1", "--m", "0", "--trials", "2",
+         "--seed", "5", "--counterexamples", str(tmp_path / "cx")]
     )
-    REDUCTIONS["broken"] = broken
-    try:
-        code = main(
-            ["verify", "broken", "--n", "1", "--m", "0", "--trials", "2",
-             "--seed", "5", "--counterexamples", str(tmp_path / "cx")]
-        )
-    finally:
-        del REDUCTIONS["broken"]
     captured = capsys.readouterr()
     assert code == EXIT_DISAGREE
     assert "NO" in captured.out
     assert "counterexample written" in captured.err
     bundles = list((tmp_path / "cx").iterdir())
     assert bundles and (bundles[0] / "source.pos").exists()
+
+
+def test_all_starts_write_one_bundle_per_disagreement(tmp_path, capsys, broken):
+    # every start of one trial shares its seed; the bundle name tells them apart
+    code = main(["verify", "broken", "--n", "3", "--m", "2", "--trials", "3",
+                 "--all-starts", "--counterexamples", str(tmp_path / "cx")])
+    out = capsys.readouterr().out
+    assert code == EXIT_DISAGREE
+    disagreements = [line for line in out.splitlines() if line.endswith(" NO")]
+    bundles = sorted(path.name for path in (tmp_path / "cx").iterdir())
+    assert len(disagreements) > 3  # more than one start of some trial
+    assert len(bundles) == len(disagreements)
+    assert all(re.fullmatch(r"broken-seed\d+-start\d", name) for name in bundles)
 
 
 def test_verify_budget_exit(tmp_path, capsys):
@@ -291,6 +305,35 @@ def test_verify_infeasible_grid(capsys, flag, value, floor):
     assert err == f"infeasible grid: {flag} must be >= {floor}, got {value}\n"
 
 
+@pytest.mark.parametrize("argv,code,label,names_file", [
+    (["solve", "{tmp}/missing.pos"], EXIT_INPUT, "error", True),
+    (["solve", "{tmp}"], EXIT_INPUT, "error", True),
+    (["solve", "{tmp}/binary.pos"], EXIT_INPUT, "error", True),
+    (["solve", "{tmp}/bad.pos"], EXIT_INPUT, "error", True),
+    (["solve", "{tmp}/p.pos", "--budget", "0"], EXIT_INPUT, "error", False),
+    (["play", "{tmp}/p.pos", "--budget", "0", "--engine-first"], EXIT_INPUT, "error", False),
+    (["verify", "vgeo-dir", "--budget", "0"], EXIT_INPUT, "error", False),
+    (["reduce", "vgeo-dir", "{tmp}/tri.pos", "{tmp}/no/out.pos"], EXIT_INPUT, "error", True),
+    (["verify", "--n", "0"], EXIT_INFEASIBLE, "infeasible grid", False),
+], ids=["missing", "directory", "not-utf8", "parse-error", "solve-budget-0",
+        "play-budget-0", "verify-budget-0", "reduce-unwritable", "verify-n-0"])
+def test_every_failure_is_one_line_and_its_exit_code(tmp_path, capsys, monkeypatch,
+                                                     argv, code, label, names_file):
+    write(tmp_path, "p.pos", ODD_HEAVY)  # no matching solver: the search must run
+    write(tmp_path, "tri.pos", VGEO_TRI)
+    write(tmp_path, "bad.pos", SINGLE.replace("w 0 1", "w 0 -1"))
+    (tmp_path / "binary.pos").write_bytes(b"mgg-pos 1\n\x80\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"{label}: ")
+    assert "Traceback" not in err
+    if names_file:
+        assert err.startswith(f"{label}: {tmp_path}")
+
+
 def test_verify_without_names_runs_every_standard_grid(tmp_path, capsys):
     code = main(["verify", "--counterexamples", str(tmp_path / "cx")])
     out = capsys.readouterr().out
@@ -309,8 +352,12 @@ def test_verify_flags_override_the_standard_grid(capsys):
                  "--trials", "2"]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.count("summary: 2/2 agree, 0 indeterminate") == 2
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["verify", "no-such-reduction"])
+    assert exc.value.code == EXIT_INPUT  # not argparse's 2, which means budget exhausted
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == EXIT_OK
 
 
 def test_play_full_game(tmp_path, capsys, monkeypatch):

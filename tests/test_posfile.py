@@ -8,7 +8,13 @@ from hypothesis import given, settings
 
 from mgg import posfile
 from mgg.kernel import VARIANTS, Convention
-from mgg.posfile import MAX_VERTICES, PositionParseError, parse_position, serialize_position
+from mgg.posfile import (
+    MAX_VERTICES,
+    PositionParseError,
+    parse_position,
+    read_position,
+    serialize_position,
+)
 from strategies import any_fresh_position
 
 MINIMAL = """\
@@ -151,6 +157,19 @@ def test_truncated_file():
     with pytest.raises(PositionParseError, match="end of file") as exc:
         parse_position("mgg-pos 1\ngame vgeo\n")
     assert exc.value.line == 3  # the line after the last one
+
+
+def test_read_position_names_the_file(tmp_path):
+    path = tmp_path / "p.pos"
+    path.write_text(MINIMAL.replace("w 0 1", "w 0 -1"))
+    with pytest.raises(PositionParseError) as exc:
+        read_position(path)
+    assert str(exc.value) == f"{path}: line 8: negative weight -1"
+    assert exc.value.line == 8
+    path.write_bytes(MINIMAL.encode() + b"e 0 \xff\n")
+    with pytest.raises(PositionParseError) as exc:
+        read_position(path)
+    assert str(exc.value) == f"{path}: line 9: not UTF-8 text (invalid start byte)"
 
 
 @pytest.mark.parametrize("game", VARIANTS)

@@ -6,6 +6,8 @@ from mgg.graphs import build_graph
 from mgg.kernel import Convention, Position
 from mgg.reductions import (
     REDUCTIONS,
+    Grid,
+    InfeasibleGrid,
     reduce_egeo_dir_misere,
     reduce_egeo_undir_misere,
     reduce_nimgmr_normal_to_misere,
@@ -291,3 +293,11 @@ def test_reductions_reject_wrong_kind():
         reduce_egeo_dir_misere(und, 0)
     with pytest.raises(ValueError):
         reduce_vgeo_dir_misere(build_graph("directed", 2, [(0, 1)]), 5)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n", 0), ("m", -1), ("wmax", 0), ("trials", 0),
+])
+def test_grid_rejects_a_grid_with_no_trial(field, value):
+    with pytest.raises(InfeasibleGrid, match=f"--{field} must be >= {value + 1}, got {value}"):
+        Grid(**{field: value})
