@@ -17,12 +17,9 @@ from .kernel import (
     apply_move,
     is_terminal,
     legal_moves,
-    loser_to_move,
-    successors,
 )
 from .matching import (
     Matching,
-    brute_force_matching_size,
     covered_by_all_maximum_matchings,
     max_matching_bipartite,
     max_matching_general,
@@ -54,7 +51,6 @@ from .search import (
     SolveReport,
     extract_strategy,
     solve,
-    state_key,
 )
 from .arena import (
     TrialReport,

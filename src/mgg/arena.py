@@ -16,8 +16,9 @@ from .graphs import DIRECTED, UNDIRECTED, Graph, build_graph
 from .kernel import NIMG_VARIANTS, VARIANTS, Convention, Position, _Engine
 from .polysolve import StrategyBreakdown
 from .posfile import serialize_position
-from .reductions import REDUCTIONS, Grid, ReductionOutput
-from .search import DEFAULT_BUDGET, Outcome, Policy, solve
+from .reductions import (
+    REDUCTIONS, SOURCE_CONVENTION, TARGET_CONVENTION, Grid, ReductionOutput)
+from .search import DEFAULT_BUDGET, Policy, SolveReport, solve
 
 LOOP_MODES = ("none", "all", "free")
 
@@ -85,22 +86,20 @@ def random_instance(
 
 @dataclass(frozen=True)
 class TrialReport:
+    """One cross-check: the source's solve under `SOURCE_CONVENTION`, the
+    target's under `TARGET_CONVENTION`, and whether their outcomes agree."""
+
     reduction: str
     seed: int
     n: int
     m: int
-    weight_bound: int
-    source_outcome: Outcome | None
-    target_outcome: Outcome | None
+    source: SolveReport
+    target: SolveReport
     agree: bool | None
-    source_states: int
-    target_states: int
-    source_exhausted: bool
-    target_exhausted: bool
 
     @property
     def completed(self) -> bool:
-        return not (self.source_exhausted or self.target_exhausted)
+        return not (self.source.budget_exhausted or self.target.budget_exhausted)
 
 
 def check_reduction(
@@ -108,7 +107,6 @@ def check_reduction(
     instance: Position,
     budget: int = DEFAULT_BUDGET,
     seed: int = -1,
-    weight_bound: int = 1,
 ) -> tuple[TrialReport, ReductionOutput]:
     """Solve a source position and its reduced image, report agreement.
 
@@ -118,26 +116,13 @@ def check_reduction(
     entry = REDUCTIONS[name]
     entry.check_source(instance)
     out = entry.apply(instance)
-    src = solve(instance, out.source_convention, budget)
-    tgt = solve(out.position, out.target_convention, budget)
+    src = solve(instance, SOURCE_CONVENTION, budget)
+    tgt = solve(out.position, TARGET_CONVENTION, budget)
     agree = None
     if not (src.budget_exhausted or tgt.budget_exhausted):
         agree = src.outcome == tgt.outcome
-    report = TrialReport(
-        reduction=name,
-        seed=seed,
-        n=instance.graph.n,
-        m=len(instance.graph.edges),
-        weight_bound=weight_bound,
-        source_outcome=src.outcome,
-        target_outcome=tgt.outcome,
-        agree=agree,
-        source_states=src.states_expanded,
-        target_states=tgt.states_expanded,
-        source_exhausted=src.budget_exhausted,
-        target_exhausted=tgt.budget_exhausted,
-    )
-    return report, out
+    g = instance.graph
+    return TrialReport(name, seed, g.n, len(g.edges), src, tgt, agree), out
 
 
 def verify_strategy(
@@ -222,7 +207,7 @@ def run_reduction_grid(
             pos = instance if start == instance.current else Position(
                 instance.variant, instance.graph, start, instance.weights
             )
-            report, out = check_reduction(name, pos, budget, seed, weight_bound)
+            report, out = check_reduction(name, pos, budget, seed)
             yield report, pos, out
 
 
@@ -235,7 +220,6 @@ def write_counterexample(
     directory: str,
     report: TrialReport,
     source: Position,
-    source_convention: Convention,
     out: ReductionOutput,
 ) -> str:
     """Persist a disagreeing trial as a replayable bundle.
@@ -248,16 +232,16 @@ def write_counterexample(
         directory, f"{report.reduction}-seed{report.seed}-start{source.current}")
     os.makedirs(bundle, exist_ok=True)
     with open(os.path.join(bundle, "source.pos"), "w", encoding="utf-8") as fh:
-        fh.write(serialize_position(source, source_convention))
+        fh.write(serialize_position(source, SOURCE_CONVENTION))
     with open(os.path.join(bundle, "target.pos"), "w", encoding="utf-8") as fh:
-        fh.write(serialize_position(out.position, out.target_convention))
+        fh.write(serialize_position(out.position, TARGET_CONVENTION))
     write_name_map(os.path.join(bundle, "namemap.txt"), out.name_map)
     with open(os.path.join(bundle, "report.txt"), "w", encoding="utf-8") as fh:
         fh.write(
             f"reduction {report.reduction}\nseed {report.seed}\n"
-            f"source outcome {report.source_outcome}\n"
-            f"target outcome {report.target_outcome}\n"
-            f"states {report.source_states} / {report.target_states}\n"
+            f"source outcome {report.source.outcome}\n"
+            f"target outcome {report.target.outcome}\n"
+            f"states {report.source.states_expanded} / {report.target.states_expanded}\n"
         )
     return bundle
 

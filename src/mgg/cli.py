@@ -31,7 +31,6 @@ from dataclasses import fields, replace
 
 from .arena import LOOP_MODES, run_reduction_grid, write_counterexample, write_name_map
 from .kernel import (
-    EGEO,
     NIMG_MR,
     NIMG_RM,
     Convention,
@@ -44,7 +43,8 @@ from .kernel import (
 )
 from .polysolve import NotApplicable, poly_solve
 from .posfile import read_position, write_position
-from .reductions import REDUCTIONS, Grid, InfeasibleGrid
+from .reductions import (
+    REDUCTIONS, SOURCE_CONVENTION, TARGET_CONVENTION, Grid, InfeasibleGrid)
 from .search import DEFAULT_BUDGET, CapacityError, Outcome, solve
 
 EXIT_OK = 0
@@ -128,11 +128,11 @@ def cmd_solve(args) -> int:
 def cmd_reduce(args) -> int:
     entry = REDUCTIONS[args.name]
     pos, conv = read_position(args.input)
-    if conv is not Convention.NORMAL:
-        raise ValueError("reductions take normal-convention sources")
+    if conv is not SOURCE_CONVENTION:
+        raise ValueError(f"reductions take {SOURCE_CONVENTION.value}-convention sources")
     entry.check_source(pos)
     out = entry.apply(pos)
-    write_position(args.output, out.position, out.target_convention)
+    write_position(args.output, out.position, TARGET_CONVENTION)
     namemap = args.namemap or args.output + ".namemap"
     write_name_map(namemap, out.name_map)
     tgt = out.position
@@ -164,8 +164,8 @@ def cmd_verify(args) -> int:
         for index, (report, pos, out) in enumerate(trials):
             if not index:  # with the first trial: an error before it prints nothing
                 print("trial seed n m start src tgt agree")
-            src = report.source_outcome.value if report.source_outcome else "-"
-            tgt = report.target_outcome.value if report.target_outcome else "-"
+            src = report.source.outcome.value if report.source.outcome else "-"
+            tgt = report.target.outcome.value if report.target.outcome else "-"
             flag = {True: "yes", False: "NO", None: "budget"}[report.agree]
             tally[flag] += 1
             print(
@@ -173,9 +173,7 @@ def cmd_verify(args) -> int:
                 f"{pos.current} {src} {tgt} {flag}"
             )
             if report.agree is False:
-                bundle = write_counterexample(
-                    args.counterexamples, report, pos, out.source_convention, out
-                )
+                bundle = write_counterexample(args.counterexamples, report, pos, out)
                 print(f"counterexample written to {bundle}", file=sys.stderr)
         print(f"summary: {tally['yes']}/{tally.total()} agree, "
               f"{tally['budget']} indeterminate")

@@ -66,17 +66,6 @@ class Graph:
                 nbrs[v].append(u)
         return tuple(map(tuple, nbrs))
 
-    def neighbors(self, u: int) -> tuple[int, ...]:
-        return self.adjacency[u]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if not self.directed and u > v:
-            u, v = v, u
-        return (u, v) in self.edge_set
-
-    def has_loop(self, u: int) -> bool:
-        return u in self.loop_vertices
-
     @cached_property
     def loop_vertices(self) -> frozenset[int]:
         return frozenset(u for u, v in self.edges if u == v)
@@ -143,9 +132,6 @@ class Relabeling:
     """
 
     old_ids: tuple[int, ...]
-
-    def to_old(self, v: int) -> int:
-        return self.old_ids[v]
 
     def to_new(self, v: int) -> int:
         """New id of kept vertex `v`; KeyError if `v` was not kept."""

@@ -33,9 +33,9 @@ weight ``k`` for nimg); ``child(key, bit)``, the key one move leads to;
 ``decode(key)``, the legal `Move`s in canonical order;
 ``encode(key, move)``, the move's bit index, or None when no move of that
 shape exists; and ``move(key, i)``, the `Move` of bit index ``i``.
-`legal_moves`, `apply_move`, `is_terminal`, `first_move` and `successors`
-are views over one engine rooted at their position; the solver in
-`mgg.search` walks the same engine.
+`legal_moves`, `apply_move`, `is_terminal` and `first_move` are views over
+one engine rooted at their position; the solver in `mgg.search` walks the
+same engine.
 """
 
 from __future__ import annotations
@@ -320,10 +320,6 @@ class _Engine:
             rem ^= bit
         return out
 
-    def moves(self, key: int) -> list[tuple[Move, int]]:
-        """Canonically ordered (move, child key) pairs."""
-        return list(zip(self.decode(key), self.succ(key)))
-
     def first(self, key: int, wins=None) -> Move | None:
         """Canonically first move whose child key satisfies `wins` (any move
         when None), or None.  Builds one child at a time and decodes only the
@@ -382,15 +378,3 @@ def first_move(p: Position) -> Move | None:
 def is_terminal(p: Position) -> bool:
     e = _Engine(p)
     return not e.move_bits(e.key(p))
-
-
-def loser_to_move(p: Position, c: Convention) -> bool:
-    """True iff the player to move at terminal `p` loses under `c`."""
-    if not is_terminal(p):
-        raise ValueError("loser_to_move applies to terminal positions")
-    return c is Convention.NORMAL
-
-
-def successors(p: Position) -> list[tuple[Move, Position]]:
-    e = _Engine(p)
-    return [(m, e.position(c)) for m, c in e.moves(e.key(p))]

@@ -1,12 +1,11 @@
 """Maximum-cardinality matching.
 
-Three routes with one result type:
+Two routes with one result type:
 
 * layered augmenting-path matching (BFS phases + disjoint shortest-path
   extraction) for bipartite graphs, O(sqrt(V) * E);
 * blossom contraction for general graphs, O(V^3)-class -- correctness over
-  speed, since only bipartite inputs carry the fast-bound claim;
-* subset enumeration as a brute-force oracle for graphs with few edges.
+  speed, since only bipartite inputs carry the fast-bound claim.
 
 The coverage query "does every maximum matching cover u?" takes the
 caller's maximum matching and one more blossom search, rooted at u's mate in
@@ -32,13 +31,7 @@ from functools import cached_property
 
 from .graphs import Bipartition, Graph
 
-BRUTE_FORCE_EDGE_CAP = 24
-
 _INF = float("inf")
-
-
-class MatchingCapacityError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -50,17 +43,6 @@ class Matching:
     @cached_property
     def size(self) -> int:
         return sum(1 for v in self.mate if v is not None) // 2
-
-    def validate(self, g: Graph) -> None:
-        for u, v in enumerate(self.mate):
-            if v is None:
-                continue
-            if self.mate[v] != u:
-                raise ValueError(f"mate map not symmetric at {u}<->{v}")
-            if u != v and not g.has_edge(u, v):
-                raise ValueError(f"matched pair ({u},{v}) is not an edge")
-            if u == v:
-                raise ValueError(f"vertex {u} matched to itself")
 
 
 def _require_undirected(g: Graph) -> None:
@@ -297,28 +279,3 @@ def covered_by_all_maximum_matchings(g: Graph, u: int, matching: Matching | None
     match[u] = match[mate] = -1
     return find_augmenting_path(g.adjacency, match, mate, hidden=u) is None
 
-
-def brute_force_matching_size(g: Graph) -> int:
-    """Exact nu(G) by enumeration over edge subsets (test oracle)."""
-    _require_undirected(g)
-    edges = [e for e in g.edges if e[0] != e[1]]
-    m = len(edges)
-    if m > BRUTE_FORCE_EDGE_CAP:
-        raise MatchingCapacityError(
-            f"brute force limited to {BRUTE_FORCE_EDGE_CAP} edges, got {m}"
-        )
-    best = 0
-    stack = [(0, 0, 0)]  # (next edge index, used-vertex mask, size)
-    while stack:
-        i, used, size = stack.pop()
-        if size + (m - i) <= best:
-            continue
-        if i == m:
-            best = max(best, size)
-            continue
-        u, v = edges[i]
-        stack.append((i + 1, used, size))
-        bit = (1 << u) | (1 << v)
-        if not used & bit:
-            stack.append((i + 1, used | bit, size + 1))
-    return best

@@ -18,7 +18,8 @@
 ``#`` starts a comment that runs to the end of its line; blank lines are
 ignored.  The seven header lines come first, in this order; then, for the
 nimg games, exactly ``vertices`` ``w`` lines; then exactly ``edges`` ``e``
-lines.  A file declaring more than `MAX_VERTICES` vertices, or more ``w``
+lines.  Every number is ASCII decimal digits with an optional leading
+``-``.  A file declaring more than `MAX_VERTICES` vertices, or more ``w``
 and ``e`` lines than it holds, is rejected before any per-vertex or
 per-edge list is built.  Every error names its line; one at the end of
 the file names the line after the last.  Serialization is canonical: weight lines ascend
@@ -28,6 +29,8 @@ reductions and counterexample bundles need.
 """
 
 from __future__ import annotations
+
+import re
 
 from .graphs import DIRECTED, UNDIRECTED, build_graph
 from .kernel import NIMG_VARIANTS, VARIANTS, Convention, Position
@@ -39,6 +42,8 @@ MAX_VERTICES = 1 << 17
 _FIELDS = ("header", "game", "convention", "kind", "vertices", "edges", "start")
 _KINDS = {"ugraph": UNDIRECTED, "digraph": DIRECTED}
 _KIND_NAMES = {UNDIRECTED: "ugraph", DIRECTED: "digraph"}
+#: The integers a file may hold: ASCII decimal digits, optionally after a `-`.
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 class PositionParseError(ValueError):
@@ -50,9 +55,15 @@ class PositionParseError(ValueError):
         self.message, self.line = message, line
 
 
+def _decimal(token: str) -> int:
+    if not _DECIMAL.fullmatch(token):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 def _integer(name: str, value: str, line: int) -> int:
     try:
-        return int(value)
+        return _decimal(value)
     except ValueError:
         raise PositionParseError(f"{name} must be an integer, got {value!r}", line) from None
 
@@ -95,6 +106,10 @@ def parse_position(text: str) -> tuple[Position, Convention]:
     if not 0 <= start < n:
         raise PositionParseError(f"start {start} outside [0,{n})", at[6])
 
+    # int() also reads `1_0`, `+1` and non-ASCII digits.  In a text with no
+    # `_`, `+` or non-ASCII character it reads only what _DECIMAL matches, so
+    # only other texts pay for matching each body token.
+    num = int if text.isascii() and "_" not in text and "+" not in text else _decimal
     nw = n if game in NIMG_VARIANTS else 0
     if len(body) < nw + m:
         declared = f"{n} `w` and {m} `e`" if nw else f"{m} `e`"
@@ -107,7 +122,7 @@ def parse_position(text: str) -> tuple[Position, Convention]:
         if len(toks) != 3 or toks[0] != "w":
             raise PositionParseError("expected `w` with 2 value(s)", ln)
         try:
-            v, wt = int(toks[1]), int(toks[2])
+            v, wt = num(toks[1]), num(toks[2])
         except ValueError:  # name the token that is not an integer
             _integer("w vertex", toks[1], ln)
             _integer("weight", toks[2], ln)
@@ -126,7 +141,7 @@ def parse_position(text: str) -> tuple[Position, Convention]:
         if len(toks) != 3 or toks[0] != "e":
             raise PositionParseError("expected `e` with 2 value(s)", ln)
         try:
-            u, v = int(toks[1]), int(toks[2])
+            u, v = num(toks[1]), num(toks[2])
         except ValueError:  # name the token that is not an integer
             _integer("edge endpoint", toks[1], ln)
             _integer("edge endpoint", toks[2], ln)

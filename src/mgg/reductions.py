@@ -1,9 +1,10 @@
-"""Outcome-preserving constructions between game/convention pairs.
+"""Outcome-preserving constructions from normal play to misere play.
 
-Each builder maps a source position to a target position whose outcome under
-the swapped convention is claimed equal, and returns a name map from source
-entities to target vertex ids so cross-check failures print recognisable
-labels.  Vertex numbering is deterministic:
+Each builder maps a source position, played under `SOURCE_CONVENTION`, to a
+target position whose outcome under `TARGET_CONVENTION` is claimed equal,
+and returns a name map from source entities to target vertex ids so
+cross-check failures print recognisable labels.  Vertex numbering is
+deterministic:
 
 * escape constructions (vgeo-dir, egeo-dir, egeo-undir): copy ``u_1 = u``,
   fresh escape neighbour ``u_2 = n + u``;
@@ -23,16 +24,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .graphs import DIRECTED, UNDIRECTED, Graph, WeightMap, build_graph
+from .graphs import DIRECTED, UNDIRECTED, Graph, WeightMap
 from .kernel import EGEO, NIMG_MR, NIMG_RM, VGEO, Convention, Position
+
+
+#: Every construction maps a normal-play source to a misere target.
+SOURCE_CONVENTION = Convention.NORMAL
+TARGET_CONVENTION = Convention.MISERE
 
 
 @dataclass(frozen=True)
 class ReductionOutput:
     position: Position
     name_map: dict[str, int]
-    source_convention: Convention
-    target_convention: Convention
 
 
 def _require_kind(g: Graph, directed: bool, what: str) -> None:
@@ -56,12 +60,7 @@ def _escape_reduction(g: Graph, v: int, variant: str) -> ReductionOutput:
     for u in range(n):
         name_map[f"{u}_1"] = u
         name_map[f"{u}_2"] = n + u
-    return ReductionOutput(
-        Position(variant, target, v),
-        name_map,
-        Convention.NORMAL,
-        Convention.MISERE,
-    )
+    return ReductionOutput(Position(variant, target, v), name_map)
 
 
 def reduce_vgeo_dir_misere(g: Graph, v: int) -> ReductionOutput:
@@ -123,12 +122,7 @@ def reduce_vgeo_dir_to_undir_misere(g: Graph, u: int) -> ReductionOutput:
             name_map[f"({a},{b})_{i}"] = vid
         edges.extend((ids[x], ids[y]) for x, y in _ARC_GADGET_EDGES)
     target = Graph(2 * n + 8 * len(g.edges), tuple(edges), directed=False)
-    return ReductionOutput(
-        Position(VGEO, target, u),
-        name_map,
-        Convention.NORMAL,
-        Convention.MISERE,
-    )
+    return ReductionOutput(Position(VGEO, target, u), name_map)
 
 
 def reduce_vgeo_dir_to_nimgrm_misere(g: Graph, u: int) -> ReductionOutput:
@@ -153,12 +147,7 @@ def reduce_vgeo_dir_to_nimgrm_misere(g: Graph, u: int) -> ReductionOutput:
         )
         weights.extend([1, 1, 1, 2])
     target = Graph(n + 4 * len(g.edges), tuple(edges), directed=False)
-    return ReductionOutput(
-        Position(NIMG_RM, target, u, tuple(weights)),
-        name_map,
-        Convention.NORMAL,
-        Convention.MISERE,
-    )
+    return ReductionOutput(Position(NIMG_RM, target, u, tuple(weights)), name_map)
 
 
 def reduce_nimgmr_normal_to_misere(g: Graph, w: WeightMap, u: int) -> ReductionOutput:
@@ -183,12 +172,7 @@ def reduce_nimgmr_normal_to_misere(g: Graph, w: WeightMap, u: int) -> ReductionO
         name_map[f"{x}_c2"] = c2
         name_map[f"{x}_c3"] = c3
     target = Graph(n + 3 * n, tuple(edges), g.directed)
-    return ReductionOutput(
-        Position(NIMG_MR, target, u, tuple(weights)),
-        name_map,
-        Convention.NORMAL,
-        Convention.MISERE,
-    )
+    return ReductionOutput(Position(NIMG_MR, target, u, tuple(weights)), name_map)
 
 
 class InfeasibleGrid(ValueError):

@@ -65,16 +65,6 @@ def _root_engine(p: Position) -> _Engine:
     return _Engine(p)
 
 
-def state_key(p: Position) -> int:
-    """Packed key of `p` on the engine rooted at `p`.
-
-    Injective among positions that share a root engine; a descendant's key
-    in a table must come from the root's engine, since the nimg field width
-    follows the root's weights.
-    """
-    return _root_engine(p).key(p)
-
-
 def _solve_packed(engine: _Engine, root_key: int, mover_wins_terminal: bool,
                   budget: int, table: dict | None = None):
     """Iterative negamax over packed keys.

@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: plain recursion, full enumeration.
 None of it shares code with the solvers under test: the move rules below
-read and rebuild `Position` fields directly, without the package's engine.
+read and rebuild `Position` fields directly, without the package's engine,
+and the matching references enumerate edge subsets and check a mate map
+against `Graph.edge_set`, without the package's matchers.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import replace
 
 from mgg.graphs import Graph, build_graph
 from mgg.kernel import Convention, Move, Position
+from mgg.matching import Matching
 from mgg.polysolve import StrategyBreakdown
 from mgg.search import Policy
 
@@ -116,6 +119,53 @@ def all_matchings(g: Graph) -> list[frozenset[tuple[int, int]]]:
 
     grow(0, set(), [])
     return found
+
+
+BRUTE_FORCE_EDGE_CAP = 24
+
+
+class MatchingCapacityError(RuntimeError):
+    pass
+
+
+def brute_force_matching_size(g: Graph) -> int:
+    """Exact nu(G) by enumeration over edge subsets (loops skipped)."""
+    if g.directed:
+        raise ValueError("matching is defined for undirected graphs")
+    edges = [e for e in g.edges if e[0] != e[1]]
+    m = len(edges)
+    if m > BRUTE_FORCE_EDGE_CAP:
+        raise MatchingCapacityError(
+            f"brute force limited to {BRUTE_FORCE_EDGE_CAP} edges, got {m}"
+        )
+    best = 0
+    stack = [(0, 0, 0)]  # (next edge index, used-vertex mask, size)
+    while stack:
+        i, used, size = stack.pop()
+        if size + (m - i) <= best:
+            continue
+        if i == m:
+            best = max(best, size)
+            continue
+        u, v = edges[i]
+        stack.append((i + 1, used, size))
+        bit = (1 << u) | (1 << v)
+        if not used & bit:
+            stack.append((i + 1, used | bit, size + 1))
+    return best
+
+
+def validate_matching(m: Matching, g: Graph) -> None:
+    """Raise ValueError unless `m` pairs distinct ends of edges of `g`, symmetrically."""
+    for u, v in enumerate(m.mate):
+        if v is None:
+            continue
+        if m.mate[v] != u:
+            raise ValueError(f"mate map not symmetric at {u}<->{v}")
+        if u == v:
+            raise ValueError(f"vertex {u} matched to itself")
+        if (min(u, v), max(u, v)) not in g.edge_set:
+            raise ValueError(f"matched pair ({u},{v}) is not an edge")
 
 
 def maximum_matchings(g: Graph) -> list[frozenset[tuple[int, int]]]:

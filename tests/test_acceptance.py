@@ -12,7 +12,6 @@ from mgg.arena import mix_seed, random_instance, run_reduction_grid, verify_stra
 from mgg.graphs import Bipartition, Graph, bipartition, build_graph
 from mgg.kernel import Convention, Position
 from mgg.matching import (
-    brute_force_matching_size,
     max_matching_bipartite,
     max_matching_bipartite_with_phases,
     max_matching_general,
@@ -25,7 +24,7 @@ from mgg.polysolve import (
 )
 from mgg.reductions import REDUCTIONS
 from mgg.search import Outcome, solve
-from oracles import random_connected_bipartite
+from oracles import brute_force_matching_size, random_connected_bipartite
 
 MIS = Convention.MISERE
 NORM = Convention.NORMAL

@@ -14,14 +14,14 @@ from mgg.arena import (
     write_counterexample,
 )
 from mgg.graphs import build_graph
-from mgg.kernel import Convention, Move, Position, legal_moves
+from mgg.kernel import Convention, Move, Position, _Engine, legal_moves
 from mgg.polysolve import (
     StrategyBreakdown,
     solve_bipartite_rm_misere,
     solve_vgeo_undirected_normal,
 )
-from mgg.reductions import REDUCTIONS, InfeasibleGrid
-from mgg.search import BITSET_CAP, Outcome, Policy, extract_strategy, solve, state_key
+from mgg.reductions import InfeasibleGrid
+from mgg.search import BITSET_CAP, Outcome, Policy, extract_strategy, solve
 from oracles import count_reachable, naive_certify
 from strategies import any_fresh_position
 
@@ -78,8 +78,8 @@ def test_check_reduction_single_vertex():
     p = Position("vgeo", build_graph("directed", 1, []), 0)
     report, out = check_reduction("vgeo-dir", p)
     assert report.agree is True
-    assert report.source_outcome is Outcome.P
-    assert report.target_outcome is Outcome.P
+    assert report.source.outcome is Outcome.P
+    assert report.target.outcome is Outcome.P
     assert out.position.graph.n == 2
 
 
@@ -94,7 +94,8 @@ def test_check_reduction_budget_is_not_disagreement():
     p = Position("vgeo", g, 0)
     report, _ = check_reduction("vgeo-undir", p, budget=3)
     assert report.agree is None
-    assert report.target_exhausted or report.source_exhausted
+    assert report.target.budget_exhausted or report.source.budget_exhausted
+    assert not report.completed
 
 
 def test_check_reduction_validates_variant():
@@ -198,7 +199,7 @@ def _hashed_policy(salt: int) -> Policy:
     """Deterministic but arbitrary: some breakdowns, some illegal moves."""
 
     def choose(q):
-        h = hash((salt, state_key(q)))
+        h = hash((salt, _Engine(q).key(q)))
         if h % 7 == 0:
             raise StrategyBreakdown("hashed breakdown")
         if h % 5 == 0:
@@ -243,12 +244,15 @@ def test_extracted_strategies_certify_across_random_suite():
 def test_counterexample_bundle_layout(tmp_path):
     p = Position("vgeo", build_graph("directed", 2, [(0, 1)]), 0)
     report, out = check_reduction("vgeo-dir", p, seed=77)
-    bundle = write_counterexample(str(tmp_path), report, p, NORM, out)
+    bundle = write_counterexample(str(tmp_path), report, p, out)
     assert os.path.basename(bundle) == "vgeo-dir-seed77-start0"
     names = sorted(os.listdir(bundle))
     assert names == ["namemap.txt", "report.txt", "source.pos", "target.pos"]
     namemap = (tmp_path / os.path.basename(bundle) / "namemap.txt").read_text()
     assert "0_1 -> 0" in namemap
+    assert (tmp_path / os.path.basename(bundle) / "report.txt").read_text() == (
+        "reduction vgeo-dir\nseed 77\nsource outcome Outcome.N\n"
+        "target outcome Outcome.N\nstates 2 / 3\n")
     from mgg.posfile import read_position
 
     src_pos, src_conv = read_position(os.path.join(bundle, "source.pos"))

@@ -15,9 +15,12 @@ from mgg.cli import (
     main,
     parse_move,
 )
+from mgg.arena import random_instance
 from mgg.kernel import Convention, Move, Position
 from mgg.graphs import build_graph
 from mgg.polysolve import NotApplicable, poly_solve
+from mgg.posfile import write_position
+from mgg.reductions import REDUCTIONS
 from mgg.search import Outcome
 
 
@@ -222,6 +225,25 @@ def test_reduce_writes_target_and_namemap(tmp_path, capsys):
     assert "0_2 -> 3" in namemap
 
 
+@pytest.mark.parametrize("seed", [0, 3])  # each reduction meets an N and a P source
+@pytest.mark.parametrize("name", sorted(REDUCTIONS))
+def test_reduce_then_solve_keeps_the_outcome(tmp_path, capsys, name, seed):
+    entry = REDUCTIONS[name]
+    kind = "undirected" if entry.source_kind == "any" else entry.source_kind
+    source = random_instance(entry.source_variant, kind, 4, 4, 2, "none", seed)
+    src, tgt = tmp_path / "src.pos", tmp_path / "tgt.pos"
+    write_position(src, source, Convention.NORMAL)
+    assert main(["reduce", name, str(src), str(tgt)]) == EXIT_OK
+    assert "convention misere" in tgt.read_text().splitlines()
+    outcomes = []
+    for path in (src, tgt):
+        capsys.readouterr()
+        assert main(["solve", str(path)]) == EXIT_OK
+        outcomes += [line for line in capsys.readouterr().out.splitlines()
+                     if line.startswith("outcome ")]
+    assert len(outcomes) == 2 and outcomes[0] == outcomes[1]
+
+
 def test_reduce_rejects_misere_source(tmp_path, capsys):
     bad = VGEO_TRI.replace("convention normal", "convention misere")
     code = main(["reduce", "vgeo-dir", write(tmp_path, "t.pos", bad), str(tmp_path / "o.pos")])
@@ -253,7 +275,7 @@ def broken(monkeypatch):
 
     monkeypatch.setitem(REDUCTIONS, "broken", ReductionEntry(
         "broken", "vgeo", "directed",
-        lambda p: ReductionOutput(p, {"0_1": 0}, Convention.NORMAL, Convention.MISERE),
+        lambda p: ReductionOutput(p, {"0_1": 0}),
     ))
 
 

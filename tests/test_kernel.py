@@ -14,8 +14,8 @@ from mgg.kernel import (
     apply_move,
     is_terminal,
     legal_moves,
-    loser_to_move,
 )
+from mgg.search import Outcome, solve
 from strategies import any_fresh_position, geo_positions
 
 
@@ -50,8 +50,9 @@ def test_rm_terminal_on_empty_vertex():
     p = Position("nimg-rm", g, 0, (0,))
     assert legal_moves(p) == []
     assert is_terminal(p)
-    assert loser_to_move(p, Convention.NORMAL)
-    assert not loser_to_move(p, Convention.MISERE)
+    # the player to move at a terminal loses under normal play, wins under misere
+    assert solve(p, Convention.NORMAL).outcome is Outcome.P
+    assert solve(p, Convention.MISERE).outcome is Outcome.N
 
 
 def test_rm_isolated_vertex_removal_only():
@@ -79,7 +80,7 @@ def test_mr_empty_neighbours_offer_no_move():
     g = build_graph("undirected", 3, [(0, 1), (0, 2)])
     p = Position("nimg-mr", g, 0, (5, 0, 0))
     assert legal_moves(p) == []
-    assert loser_to_move(p, Convention.NORMAL)
+    assert solve(p, Convention.NORMAL).outcome is Outcome.P
 
 
 def test_mr_move_set():

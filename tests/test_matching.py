@@ -6,14 +6,19 @@ from hypothesis import given, settings
 
 from mgg.graphs import Bipartition, bipartition, build_graph
 from mgg.matching import (
-    MatchingCapacityError,
-    brute_force_matching_size,
+    Matching,
     covered_by_all_maximum_matchings,
     max_matching_bipartite,
     max_matching_bipartite_with_phases,
     max_matching_general,
 )
-from oracles import covered_by_all_oracle, maximum_matchings
+from oracles import (
+    MatchingCapacityError,
+    brute_force_matching_size,
+    covered_by_all_oracle,
+    maximum_matchings,
+    validate_matching,
+)
 from strategies import graphs
 
 
@@ -74,6 +79,14 @@ def test_brute_force_cap():
     g = build_graph("undirected", 26, [(0, i) for i in range(1, 26)])
     with pytest.raises(MatchingCapacityError):
         brute_force_matching_size(g)
+
+
+def test_validate_matching_rejects_bad_mate_maps():
+    path = build_graph("undirected", 3, [(0, 1), (1, 2)])
+    validate_matching(Matching((1, 0, None)), path)
+    for mate in ((2, None, 0), (1, 2, 1), (0, None, None)):  # non-edge, asymmetric, self
+        with pytest.raises(ValueError):
+            validate_matching(Matching(mate), path)
 
 
 def test_bipartite_rejects_bad_bipartition():
@@ -174,12 +187,12 @@ def test_matchers_agree_with_brute_force(g):
         return  # beyond the enumeration oracle's cap
     expected = brute_force_matching_size(g)
     general = max_matching_general(g)
-    general.validate(g)
+    validate_matching(general, g)
     assert general.size == expected
     b = bipartition(g)
     if b is not None:
         hk = max_matching_bipartite(g, b)
-        hk.validate(g)
+        validate_matching(hk, g)
         assert hk.size == expected
 
 

@@ -40,7 +40,7 @@ def test_preprocess_drops_empty_leaves():
     q, relab = preprocess_positive(p)
     assert q.graph.n == 2
     assert q.weights == (2, 1)
-    assert relab.to_old(1) == 2
+    assert relab.old_ids[1] == 2
 
 
 def test_preprocess_rejects_terminal_start():
@@ -57,7 +57,7 @@ def test_preprocess_preserves_misere_outcome(p):
     # into an isolated pile, which plays differently above one token
     neighbours = [v for v in p.graph.adjacency[p.current] if v != p.current]
     all_dead = bool(neighbours) and all(p.weights[v] == 0 for v in neighbours)
-    has_live_loop = p.graph.has_loop(p.current)
+    has_live_loop = p.current in p.graph.loop_vertices
     assume(not (all_dead and not has_live_loop and p.weights[p.current] >= 2))
     q, _ = preprocess_positive(p)
     assert solve(p, MIS).outcome == solve(q, MIS).outcome

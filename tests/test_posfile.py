@@ -186,3 +186,33 @@ def test_hostile_sizes_rejected_before_allocating(game):
             tracemalloc.stop()
         assert exc.value.line == line
         assert peak < 1 << 20
+
+
+ONE_EDGE = """\
+mgg-pos 1
+game vgeo
+convention normal
+kind ugraph
+vertices 2
+edges 1
+start 0
+e 0 1
+"""
+
+
+@pytest.mark.parametrize("old,new,line", [
+    ("vertices 2", "vertices 1_0", 5),
+    ("start 0", "start ٣", 7),  # ARABIC-INDIC DIGIT THREE
+    ("e 0 1", "e 0 +1", 8),
+], ids=["underscore", "non-ascii-digit", "plus-sign"])
+def test_integers_are_ascii_decimals(old, new, line):
+    # int() reads all three (as 10, 3 and 1); no serializer writes them
+    with pytest.raises(PositionParseError, match="must be an integer") as exc:
+        parse_position(ONE_EDGE.replace(old, new))
+    assert exc.value.line == line
+    assert repr(new.split()[-1]) in str(exc.value)
+
+
+def test_comments_may_hold_any_text():
+    commented = ONE_EDGE.replace("e 0 1", "e 0 1  # not +1, 1_0 or ٣")
+    assert parse_position(commented) == parse_position(ONE_EDGE)

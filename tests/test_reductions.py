@@ -6,6 +6,8 @@ from mgg.graphs import build_graph
 from mgg.kernel import Convention, Position
 from mgg.reductions import (
     REDUCTIONS,
+    SOURCE_CONVENTION,
+    TARGET_CONVENTION,
     Grid,
     InfeasibleGrid,
     reduce_egeo_dir_misere,
@@ -23,8 +25,11 @@ NORM = Convention.NORMAL
 
 def outcomes_agree(name, pos):
     out = REDUCTIONS[name].apply(pos)
-    assert out.source_convention is NORM and out.target_convention is MIS
     return solve(pos, NORM).outcome == solve(out.position, MIS).outcome
+
+
+def test_every_reduction_maps_normal_to_misere():
+    assert SOURCE_CONVENTION is NORM and TARGET_CONVENTION is MIS
 
 
 def degree_counts(g):
@@ -226,12 +231,12 @@ def test_nimgmr_preserves_loops_and_sizes():
     tgt = out.position.graph
     assert tgt.n == 4 * g.n
     assert len(tgt.edges) == len(g.edges) + 3 * g.n
-    assert tgt.has_loop(0)
+    assert tgt.loop_vertices == frozenset({0})
     assert out.position.current == 1
     assert out.position.weights[: g.n] == (2, 1)
     for x in range(g.n):
         c1, c2, c3 = (out.name_map[f"{x}_c{i}"] for i in (1, 2, 3))
-        assert tgt.has_edge(x, c1) and tgt.has_edge(c1, c2) and tgt.has_edge(c2, c3)
+        assert {(x, c1), (c1, c2), (c2, c3)} <= tgt.edge_set
         assert out.position.weights[c1] == out.position.weights[c2] == out.position.weights[c3] == 1
 
 

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mgg.graphs import build_graph
-from mgg.kernel import Convention, Move, Position, _Engine, first_move, successors
+from mgg.kernel import Convention, Move, Position, _Engine, first_move
 from mgg.search import (
     BudgetExhausted,
     CapacityError,
@@ -15,7 +15,6 @@ from mgg.search import (
     extract_strategy,
     solve,
     solve_with_table,
-    state_key,
 )
 from oracles import apply_move, count_reachable, legal_moves, naive_outcome
 from strategies import any_fresh_position, geo_positions, nimg_positions
@@ -56,7 +55,7 @@ def test_state_key_injective_on_weights():
     g = build_graph("undirected", 2, [(0, 1)])
     a = Position("nimg-rm", g, 0, (1, 1))
     b = Position("nimg-rm", g, 0, (1, 2))
-    assert state_key(a) != state_key(b)
+    assert _Engine(a).key(a) != _Engine(b).key(b)
     with pytest.raises(ValueError):  # b's weight 2 overflows a's 1-bit fields
         _Engine(a).key(b)
 
@@ -73,21 +72,21 @@ def test_state_key_canonical_across_move_orders():
     left_first = play(p, (0, 4), (1, 4), (2, 3), (1, 4))
     right_first = play(p, (2, 4), (1, 4), (0, 3), (1, 4))
     assert left_first == right_first
-    assert state_key(left_first) == state_key(right_first)
+    assert _Engine(left_first).key(left_first) == _Engine(right_first).key(right_first)
     # same endpoint through different deletions must not collide
     diamond = build_graph("undirected", 4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     p2 = Position("vgeo", diamond, 0)
     via_one = apply_move(apply_move(p2, Move(1)), Move(3))
     via_two = apply_move(apply_move(p2, Move(2)), Move(3))
     assert via_one.current == via_two.current == 3
-    assert state_key(via_one) != state_key(via_two)
+    assert _Engine(via_one).key(via_one) != _Engine(via_two).key(via_two)
 
 
 def test_state_key_ignores_removed_vertices():
     g = build_graph("directed", 3, [(0, 1), (1, 2)])
     p = apply_move(Position("vgeo", g, 0), Move(1))
     engine = _Engine(p)
-    key = state_key(p)
+    key = engine.key(p)
     mask, cur = key >> engine.sh, key & engine.cur_mask
     assert cur == 1
     assert mask == 0b110  # bit for the departed vertex is gone
@@ -97,12 +96,10 @@ def test_state_key_ignores_removed_vertices():
 def test_bitset_capacity_errors():
     big = build_graph("directed", 129, [(i, i + 1) for i in range(128)])
     with pytest.raises(CapacityError):
-        state_key(Position("vgeo", big, 0))
-    with pytest.raises(CapacityError):
         solve(Position("vgeo", big, 0), NORM)
     wide = build_graph("directed", 130, [(i, j) for i in range(12) for j in range(12) if i != j][:129])
     with pytest.raises(CapacityError):
-        state_key(Position("egeo", wide, 0))
+        solve(Position("egeo", wide, 0), NORM)
 
 
 @st.composite
@@ -129,10 +126,11 @@ def played_positions(draw):
 @given(played_positions())
 def test_engine_moves_agree_with_kernel(p):
     engine = _Engine(p)
-    decoded = [(m, engine.position(k)) for m, k in engine.moves(engine.key(p))]
+    key = engine.key(p)
+    pairs = zip(engine.decode(key), engine.succ(key), strict=True)
+    decoded = [(m, engine.position(k)) for m, k in pairs]
     expected = [(m, apply_move(p, m)) for m in legal_moves(p)]
     assert decoded == expected
-    assert successors(p) == expected  # the kernel's view of the same engine
 
 
 @settings(max_examples=300, deadline=None)
