@@ -132,25 +132,30 @@ def verify_strategy(
 
     Fixes the policy's move wherever the policy is to move and branches over
     all replies, visiting each distinct (position, side to move) node once.
-    True iff every line ends at a terminal where the adversary-to-move loses
-    under `c`.  False when some line does not, when the policy plays an
-    illegal move, or when it raises StrategyBreakdown.  None when more than
-    `budget` distinct nodes would be needed (indeterminate, never reported as
-    false).
+    A node is one int, ``key << 1 | policy_to_move``: the engine's packed
+    key with the side to move in bit 0.  True iff every line ends at a
+    terminal where the adversary-to-move loses under `c`.  False when some
+    line does not, when the policy plays an illegal move, or when it raises
+    StrategyBreakdown.  None when more than `budget` distinct nodes would be
+    needed (indeterminate, never reported as false).
     """
     engine = _Engine(p)
-    root = (engine.key(p), True)
+    move_bits, child, encode = engine.move_bits, engine.child, engine.encode
+    # the player to move at a terminal loses exactly under normal play
+    stuck_loses = c is Convention.NORMAL
+    root = engine.key(p) << 1 | 1
     seen = {root}
     stack = [root]
     expanded = 0
     while stack:
-        key, policy_to_move = stack.pop()
+        node = stack.pop()
         expanded += 1
         if expanded > budget:
             return None
-        if not engine.move_bits(key):
-            # the player to move at a terminal loses exactly under normal play
-            if policy_to_move == (c is Convention.NORMAL):
+        key, policy_to_move = node >> 1, node & 1
+        bits = move_bits(key)
+        if not bits:
+            if policy_to_move == stuck_loses:
                 return False
             continue
         if policy_to_move:
@@ -158,17 +163,19 @@ def verify_strategy(
                 move = policy.choose(engine.position(key))
             except StrategyBreakdown:
                 return False
-            child = engine.after(key, move)
-            if child is None:  # not a legal move here
+            i = encode(key, move)
+            if i is None or not bits >> i & 1:  # not a legal move here
                 return False
-            children = [child]
-        else:
-            children = engine.succ(key)
-        for child in children:
-            node = (child, not policy_to_move)
+            bits = 1 << i
+        # the policy's one move, or every reply in canonical order
+        side = policy_to_move ^ 1
+        while bits:
+            bit = bits & -bits
+            node = child(key, bit) << 1 | side
             if node not in seen:
                 seen.add(node)
                 stack.append(node)
+            bits ^= bit
     return True
 
 

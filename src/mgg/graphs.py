@@ -82,7 +82,7 @@ def validate_weights(g: Graph, w) -> WeightMap:
     w = tuple(w)
     if len(w) != g.n:
         raise ValueError(f"weight map covers {len(w)} vertices, graph has {g.n}")
-    if any(x < 0 for x in w):
+    if w and min(w) < 0:
         raise ValueError("weights must be non-negative")
     return w
 

@@ -110,7 +110,7 @@ class Position:
                 raise ValueError("removed_vertices applies to vgeo only")
             if self.current in self.removed_vertices:
                 raise ValueError("current vertex already removed")
-            if any(not 0 <= v < self.graph.n for v in self.removed_vertices):
+            if not 0 <= min(self.removed_vertices) <= max(self.removed_vertices) < self.graph.n:
                 raise ValueError("removed vertex outside graph")
         if self.removed_edges:
             if self.variant != EGEO:
@@ -270,7 +270,10 @@ class _Engine:
     cap here is `MOVE_BITS_CAP` on nimg roots, checked before any move bits
     exist; the solver's bitset contract is enforced by `mgg.search`, so the
     strategy certifier and the views can walk geography positions of any
-    size.
+    size.  The solver and the certifier (`mgg.arena.verify_strategy`) walk
+    children by popping `move_bits` lowest first into `child`; the certifier
+    checks a policy's move with `encode` against the same bits, and decodes
+    a `position` only where the policy is to move.
     """
 
     def __init__(self, root: Position):
@@ -309,16 +312,6 @@ class _Engine:
                 for e in p.removed_edges:
                     payload &= ~(1 << index[e])
         return payload << self.sh | p.current
-
-    def succ(self, key: int) -> list[int]:
-        """Child keys in canonical move order."""
-        child, rem, out = self.child, self.move_bits(key), []
-        append = out.append
-        while rem:
-            bit = rem & -rem
-            append(child(key, bit))
-            rem ^= bit
-        return out
 
     def first(self, key: int, wins=None) -> Move | None:
         """Canonically first move whose child key satisfies `wins` (any move

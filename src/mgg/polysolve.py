@@ -80,16 +80,21 @@ def _criterion(sub: Graph, relab: Relabeling, vertex: int, matching: Matching,
 def _follow(relab: Relabeling, matching: Matching, k: int | None = 0):
     """The choose that moves to the current vertex's mate, leaving `k` tokens.
 
-    `matching` is a matching of the subgraph induced by `relab`.
+    `matching` is a matching of the subgraph induced by `relab`.  Each
+    vertex's `Move` is built on its first use and returned from then on.
     """
     old = relab.old_ids
     mate = {old[u]: old[v] for u, v in enumerate(matching.mate) if v is not None}
+    moves: dict[int, Move] = {}
 
     def choose(q: Position) -> Move:
-        to = mate.get(q.current)
-        if to is None:
-            raise StrategyBreakdown(f"current vertex {q.current} is unmatched")
-        return Move(to, k)
+        move = moves.get(q.current)
+        if move is None:
+            to = mate.get(q.current)
+            if to is None:
+                raise StrategyBreakdown(f"current vertex {q.current} is unmatched")
+            move = moves[q.current] = Move(to, k)
+        return move
 
     return choose
 

@@ -1,4 +1,5 @@
 import os
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -22,7 +23,8 @@ from mgg.polysolve import (
 )
 from mgg.reductions import InfeasibleGrid
 from mgg.search import BITSET_CAP, Outcome, Policy, extract_strategy, solve
-from oracles import count_reachable, naive_certify
+from oracles import apply_move, count_reachable, naive_certify
+from oracles import legal_moves as oracle_moves
 from strategies import any_fresh_position
 
 MIS = Convention.MISERE
@@ -193,6 +195,67 @@ def test_verify_strategy_has_no_bitset_cap():
     step = Policy(lambda r: Move(1), "exhaustive")
     assert verify_strategy(q, NORM, step) is True
     assert verify_strategy(q, MIS, step) is False
+
+
+def test_verify_strategy_keeps_the_side_to_move_apart():
+    # one looped heap, the policy taking one token a turn: the empty heap is
+    # reached with each side to move, and the policy's own turn there loses
+    p = Position("nimg-rm", build_graph("undirected", 1, [(0, 0)]), 0, (3,))
+    take_one = Policy(lambda q: Move(0, q.weights[0] - 1), "exhaustive")
+    assert naive_certify(p, NORM, take_one) is False
+    assert verify_strategy(p, NORM, take_one) is False
+
+
+def _certifier_nodes(p, choose):
+    """(distinct (position, policy to move) nodes, non-terminal positions with
+    the policy to move) of `choose` from `p`, walked with the rules oracle."""
+    root = (p, True)
+    seen, stack, policy_positions = {root}, [root], set()
+    while stack:
+        q, policy_to_move = stack.pop()
+        moves = oracle_moves(q)
+        if moves and policy_to_move:
+            policy_positions.add(q)
+            moves = [choose(q)]
+        for m in moves:
+            node = (apply_move(q, m), not policy_to_move)
+            if node not in seen:
+                seen.add(node)
+                stack.append(node)
+    return len(seen), policy_positions
+
+
+def _budget_cases():
+    path = build_graph("undirected", 4, [(0, 1), (1, 2), (2, 3)])
+    square = build_graph("undirected", 4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    wheel = build_graph("undirected", 6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3),
+                                          (1, 5), (2, 3), (2, 4), (3, 5)])
+    fan = build_graph("undirected", 5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (3, 4)])
+    rm = Position("nimg-rm", path, 0, (2, 2, 2, 2))
+    vg = Position("vgeo", wheel, 4)
+    cases = [
+        (rm, MIS, solve_bipartite_rm_misere(rm)[1]),
+        (Position("nimg-mr", square, 3, (1, 2, 2, 2)), NORM, None),
+        (vg, NORM, solve_vgeo_undirected_normal(vg)[1]),
+        (Position("egeo", fan, 2), MIS, None),
+    ]
+    return [pytest.param(*case, id=case[0].variant) for case in cases]
+
+
+@pytest.mark.parametrize("p, conv, policy", _budget_cases())
+def test_verify_strategy_asks_once_per_position_and_counts_every_node(p, conv, policy):
+    policy = policy or extract_strategy(p, conv)
+    nodes, policy_positions = _certifier_nodes(p, policy.choose)
+    calls = Counter()
+
+    def choose(q):
+        calls[q] += 1
+        return policy.choose(q)
+
+    counting = Policy(choose, policy.provenance)
+    assert verify_strategy(p, conv, counting, budget=nodes) is True
+    assert calls == Counter(policy_positions)
+    assert verify_strategy(p, conv, counting, budget=nodes - 1) is None
 
 
 def _hashed_policy(salt: int) -> Policy:

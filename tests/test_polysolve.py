@@ -9,6 +9,7 @@ from mgg.graphs import build_graph
 from mgg.kernel import Convention, Move, Position
 from mgg.polysolve import (
     NotApplicable,
+    StrategyBreakdown,
     poly_solve,
     preprocess_positive,
     solve_bipartite_rm_misere,
@@ -136,6 +137,22 @@ def test_weight1_equals_vgeo_and_oracle(p):
 
 
 # ------------------------------------------------------------------ bipartite
+
+def test_matching_policy_reuses_each_move_and_always_breaks_down_unmatched():
+    # the path's maximum matchings cover the middle vertex and one end each
+    path = build_graph("undirected", 3, [(0, 1), (1, 2)])
+    p = Position("nimg-rm", path, 1, (1, 1, 1))
+    _, policy = solve_bipartite_rm_misere(p)
+    middle = policy.choose(p)
+    assert middle in (Move(0, 0), Move(2, 0))
+    assert policy.choose(Position("nimg-rm", path, 1, (1, 0, 1))) is middle
+    mate = Position("nimg-rm", path, middle.to, (1, 1, 1))
+    assert policy.choose(mate) is policy.choose(mate) == Move(1, 0)
+    unmatched = Position("nimg-rm", path, 2 - middle.to, (1, 1, 1))
+    for _ in range(2):
+        with pytest.raises(StrategyBreakdown, match="unmatched"):
+            policy.choose(unmatched)
+
 
 def test_bipartite_edge_and_path():
     g = build_graph("undirected", 2, [(0, 1)])

@@ -122,12 +122,22 @@ def played_positions(draw):
     return p
 
 
+def _children(engine, key):
+    """Child keys, popping the move bits lowest first with `engine.child`."""
+    rem, out = engine.move_bits(key), []
+    while rem:
+        bit = rem & -rem
+        out.append(engine.child(key, bit))
+        rem ^= bit
+    return out
+
+
 @settings(max_examples=300, deadline=None)
 @given(played_positions())
 def test_engine_moves_agree_with_kernel(p):
     engine = _Engine(p)
     key = engine.key(p)
-    pairs = zip(engine.decode(key), engine.succ(key), strict=True)
+    pairs = zip(engine.decode(key), _children(engine, key), strict=True)
     decoded = [(m, engine.position(k)) for m, k in pairs]
     expected = [(m, apply_move(p, m)) for m in legal_moves(p)]
     assert decoded == expected
@@ -321,7 +331,7 @@ def test_engine_keys_round_trip(p):
     while frontier and len(seen) < 2000:
         key = frontier.pop()
         assert engine.key(engine.position(key)) == key
-        for c in engine.succ(key):
+        for c in _children(engine, key):
             if c not in seen:
                 seen.add(c)
                 frontier.append(c)
