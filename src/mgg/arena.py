@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .graphs import DIRECTED, UNDIRECTED, Graph, build_graph
 from .kernel import NIMG_VARIANTS, VARIANTS, Convention, Position, _Engine
@@ -133,14 +134,17 @@ def verify_strategy(
     Fixes the policy's move wherever the policy is to move and branches over
     all replies, visiting each distinct (position, side to move) node once.
     A node is one int, ``key << 1 | policy_to_move``: the engine's packed
-    key with the side to move in bit 0.  True iff every line ends at a
-    terminal where the adversary-to-move loses under `c`.  False when some
-    line does not, when the policy plays an illegal move, or when it raises
-    StrategyBreakdown.  None when more than `budget` distinct nodes would be
-    needed (indeterminate, never reported as false).
+    key with the side to move in bit 0.  The policy gets the token's vertex,
+    and the node's `Position` is decoded only if the policy asks for it.
+    True iff every line ends at a terminal where the adversary-to-move loses
+    under `c`.  False when some line does not, when the policy plays an
+    illegal move, or when it raises StrategyBreakdown.  None when more than
+    `budget` distinct nodes would be needed (indeterminate, never reported
+    as false).
     """
     engine = _Engine(p)
     move_bits, child, encode = engine.move_bits, engine.child, engine.encode
+    position, cur_mask = engine.position, engine.cur_mask
     # the player to move at a terminal loses exactly under normal play
     stuck_loses = c is Convention.NORMAL
     root = engine.key(p) << 1 | 1
@@ -160,7 +164,7 @@ def verify_strategy(
             continue
         if policy_to_move:
             try:
-                move = policy.choose(engine.position(key))
+                move = policy.choose(key & cur_mask, partial(position, key))
             except StrategyBreakdown:
                 return False
             i = encode(key, move)

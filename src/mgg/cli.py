@@ -103,7 +103,7 @@ def _answer(pos: Position, conv: Convention, method: str, budget: int, routed=No
             if method == "matching":
                 raise
         else:
-            move = policy.choose(pos) if outcome is Outcome.N else None
+            move = policy.at(pos) if outcome is Outcome.N else None
             return outcome, move, name, policy, 0
     report = solve(pos, conv, budget)
     return report.outcome, report.principal_move, "exhaustive", None, report.states_expanded

@@ -273,7 +273,7 @@ class _Engine:
     size.  The solver and the certifier (`mgg.arena.verify_strategy`) walk
     children by popping `move_bits` lowest first into `child`; the certifier
     checks a policy's move with `encode` against the same bits, and decodes
-    a `position` only where the policy is to move.
+    a `position` only when a policy asks for one.
     """
 
     def __init__(self, root: Position):

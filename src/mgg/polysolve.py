@@ -27,6 +27,8 @@ exhaustive solver; genuine contract violations raise ValueError.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .graphs import Graph, Relabeling, bipartition, induced_subgraph
 from .kernel import NIMG_RM, VGEO, Convention, Move, Position
 from .matching import (
@@ -80,20 +82,21 @@ def _criterion(sub: Graph, relab: Relabeling, vertex: int, matching: Matching,
 def _follow(relab: Relabeling, matching: Matching, k: int | None = 0):
     """The choose that moves to the current vertex's mate, leaving `k` tokens.
 
-    `matching` is a matching of the subgraph induced by `relab`.  Each
-    vertex's `Move` is built on its first use and returned from then on.
+    `matching` is a matching of the subgraph induced by `relab`.  It reads
+    only the current vertex and never asks for the position.  Each vertex's
+    `Move` is built on its first use and returned from then on.
     """
     old = relab.old_ids
     mate = {old[u]: old[v] for u, v in enumerate(matching.mate) if v is not None}
     moves: dict[int, Move] = {}
 
-    def choose(q: Position) -> Move:
-        move = moves.get(q.current)
+    def choose(current: int, position: Callable[[], Position]) -> Move:
+        move = moves.get(current)
         if move is None:
-            to = mate.get(q.current)
+            to = mate.get(current)
             if to is None:
-                raise StrategyBreakdown(f"current vertex {q.current} is unmatched")
-            move = moves[q.current] = Move(to, k)
+                raise StrategyBreakdown(f"current vertex {current} is unmatched")
+            move = moves[current] = Move(to, k)
         return move
 
     return choose
@@ -138,7 +141,8 @@ def _degenerate_pile(p: Position) -> tuple[Outcome, Policy | None]:
     if p.weights[p.current] < 2:
         return Outcome.P, None
 
-    def choose(q: Position) -> Move:
+    def choose(current: int, position: Callable[[], Position]) -> Move:
+        q = position()
         if q.weights[q.current] >= 2:
             return Move(q.current, 1)  # leave a single token behind
         raise ValueError("no winning move on a single remaining token")
@@ -218,14 +222,15 @@ def solve_loops_rm_misere(p: Position) -> tuple[Outcome, Policy | None]:
     if _loops_outcome(p.graph, p.weights, p.current) is Outcome.P:
         return Outcome.P, None
 
-    def choose(r: Position) -> Move:
+    def choose(current: int, position: Callable[[], Position]) -> Move:
+        r = position()
         w = r.weights
         cur = r.current
         if w[cur] == 0:
             raise ValueError("terminal position: the mover has already won")
         if w[cur] == 1:  # the weight-one game on the light component
             _, relab, matching = _light_matching(r.graph, w, cur)
-            return _follow(relab, matching)(r)
+            return _follow(relab, matching)(cur, position)
         drained = w[:cur] + (0,) + w[cur + 1:]
         for v in r.graph.adjacency[cur]:
             # Move(v, 0) leads to the opponent on v with `drained`

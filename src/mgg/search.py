@@ -48,13 +48,19 @@ class SolveReport:
 class Policy:
     """Deterministic move advice for the winning side of an N position.
 
-    `choose` must be a pure function of the `Position` it is given: the
-    strategy certifier asks it once per distinct position and reuses the
-    answer wherever that position recurs.
+    ``choose(current, position)`` gets the token's vertex at once; calling
+    ``position()`` builds the full `Position`, so a policy calls it only when
+    it needs more than the current vertex.  The answer must be a pure
+    function of that position: the strategy certifier asks once per distinct
+    position and reuses the answer wherever that position recurs.
     """
 
-    choose: Callable[[Position], Move]
+    choose: Callable[[int, Callable[[], Position]], Move]
     provenance: str  # matching-following | loop-stalling | exhaustive
+
+    def at(self, q: Position) -> Move:
+        """The policy's move at `q`."""
+        return self.choose(q.current, lambda: q)
 
 
 def _root_engine(p: Position) -> _Engine:
@@ -165,8 +171,8 @@ def extract_strategy(p: Position, c: Convention, budget: int = DEFAULT_BUDGET) -
                 raise BudgetExhausted("budget exhausted while advising a move")
         return not r
 
-    def choose(q: Position) -> Move:
-        move = engine.first(engine.key(q), lost)
+    def choose(current: int, position: Callable[[], Position]) -> Move:
+        move = engine.first(engine.key(position()), lost)
         if move is None:
             raise ValueError("no winning move: position is not an N position")
         return move

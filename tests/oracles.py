@@ -79,7 +79,7 @@ def naive_certify(p: Position, c: Convention, policy: Policy) -> bool:
         if not policy_to_move:
             return all(wins(apply_move(pos, m), True) for m in moves)
         try:
-            move = policy.choose(pos)
+            move = policy.at(pos)
         except StrategyBreakdown:
             return False
         return move in moves and wins(apply_move(pos, move), False)

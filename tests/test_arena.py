@@ -19,7 +19,9 @@ from mgg.kernel import Convention, Move, Position, _Engine, legal_moves
 from mgg.polysolve import (
     StrategyBreakdown,
     solve_bipartite_rm_misere,
+    solve_loops_rm_misere,
     solve_vgeo_undirected_normal,
+    solve_weight1_rm_misere,
 )
 from mgg.reductions import InfeasibleGrid
 from mgg.search import BITSET_CAP, Outcome, Policy, extract_strategy, solve
@@ -142,7 +144,7 @@ def test_verify_strategy_rejects_bad_policy():
     g = build_graph("undirected", 3, [(0, 1), (1, 2), (0, 2)])
     p = Position("nimg-rm", g, 2, (1, 1, 2))
     assert solve(p, MIS).outcome is Outcome.N
-    lowest = Policy(lambda q: legal_moves(q)[0], "exhaustive")
+    lowest = Policy(lambda cur, position: legal_moves(position())[0], "exhaustive")
     good = extract_strategy(p, MIS)
     assert verify_strategy(p, MIS, good) is True
     assert verify_strategy(p, MIS, lowest) is False
@@ -150,7 +152,7 @@ def test_verify_strategy_rejects_bad_policy():
 
 def test_verify_strategy_vacuous_on_terminal_win():
     p = Position("nimg-rm", build_graph("undirected", 1, []), 0, (0,))
-    never = Policy(lambda q: (_ for _ in ()).throw(AssertionError), "exhaustive")
+    never = Policy(lambda cur, position: (_ for _ in ()).throw(AssertionError), "exhaustive")
     assert verify_strategy(p, MIS, never) is True
 
 
@@ -166,7 +168,7 @@ def test_verify_strategy_rejects_illegal_move():
     g = build_graph("undirected", 3, [(0, 1), (1, 2)])
     p = Position("vgeo", g, 1)
     assert solve(p, NORM).outcome is Outcome.N
-    stay = Policy(lambda q: Move(q.current), "exhaustive")
+    stay = Policy(lambda cur, position: Move(position().current), "exhaustive")
     assert verify_strategy(p, NORM, stay) is False
 
 
@@ -174,8 +176,8 @@ def test_verify_strategy_rejects_strategy_breakdown():
     g = build_graph("undirected", 2, [(0, 1)])
     p = Position("vgeo", g, 0)
 
-    def choose(q):
-        raise StrategyBreakdown(f"token vertex {q.current} is unmatched")
+    def choose(cur, position):
+        raise StrategyBreakdown(f"token vertex {position().current} is unmatched")
 
     assert verify_strategy(p, NORM, Policy(choose, "matching-following")) is False
 
@@ -192,7 +194,7 @@ def test_verify_strategy_has_no_bitset_cap():
     arcs = [(0, 1)] + [(i, j) for i in range(2, 14) for j in range(2, 14) if i != j]
     assert len(arcs) > BITSET_CAP
     q = Position("egeo", build_graph("directed", 14, arcs), 0)
-    step = Policy(lambda r: Move(1), "exhaustive")
+    step = Policy(lambda cur, position: Move(1), "exhaustive")
     assert verify_strategy(q, NORM, step) is True
     assert verify_strategy(q, MIS, step) is False
 
@@ -201,9 +203,37 @@ def test_verify_strategy_keeps_the_side_to_move_apart():
     # one looped heap, the policy taking one token a turn: the empty heap is
     # reached with each side to move, and the policy's own turn there loses
     p = Position("nimg-rm", build_graph("undirected", 1, [(0, 0)]), 0, (3,))
-    take_one = Policy(lambda q: Move(0, q.weights[0] - 1), "exhaustive")
+    take_one = Policy(lambda cur, position: Move(0, position().weights[0] - 1), "exhaustive")
     assert naive_certify(p, NORM, take_one) is False
     assert verify_strategy(p, NORM, take_one) is False
+
+
+def test_matching_policies_certify_without_decoding_a_position(monkeypatch):
+    decoded = []
+    decode = _Engine.position
+    monkeypatch.setattr(_Engine, "position",
+                        lambda engine, key: decoded.append(key) or decode(engine, key))
+    path = build_graph("undirected", 4, [(0, 1), (1, 2), (2, 3)])
+    for solver, p, conv in [
+        (solve_vgeo_undirected_normal, Position("vgeo", path, 0), NORM),
+        (solve_weight1_rm_misere, Position("nimg-rm", path, 0, (1, 1, 1, 1)), MIS),
+        (solve_bipartite_rm_misere, Position("nimg-rm", path, 0, (2, 2, 2, 2)), MIS),
+    ]:
+        outcome, policy = solver(p)
+        assert outcome is Outcome.N
+        assert verify_strategy(p, conv, policy) is True
+        assert decoded == [], solver.__name__
+    # the loops and exhaustive policies ask for the position, and still certify
+    looped = build_graph("undirected", 3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2)])
+    p = Position("nimg-rm", looped, 0, (2, 1, 2))
+    outcome, policy = solve_loops_rm_misere(p)
+    assert outcome is Outcome.N
+    assert verify_strategy(p, MIS, policy) is True
+    assert decoded
+    decoded.clear()
+    q = Position("nimg-rm", path, 0, (2, 2, 2, 2))
+    assert verify_strategy(q, MIS, extract_strategy(q, MIS)) is True
+    assert decoded
 
 
 def _certifier_nodes(p, choose):
@@ -245,12 +275,13 @@ def _budget_cases():
 @pytest.mark.parametrize("p, conv, policy", _budget_cases())
 def test_verify_strategy_asks_once_per_position_and_counts_every_node(p, conv, policy):
     policy = policy or extract_strategy(p, conv)
-    nodes, policy_positions = _certifier_nodes(p, policy.choose)
+    nodes, policy_positions = _certifier_nodes(p, policy.at)
     calls = Counter()
 
-    def choose(q):
+    def choose(cur, position):
+        q = position()
         calls[q] += 1
-        return policy.choose(q)
+        return policy.at(q)
 
     counting = Policy(choose, policy.provenance)
     assert verify_strategy(p, conv, counting, budget=nodes) is True
@@ -261,7 +292,8 @@ def test_verify_strategy_asks_once_per_position_and_counts_every_node(p, conv, p
 def _hashed_policy(salt: int) -> Policy:
     """Deterministic but arbitrary: some breakdowns, some illegal moves."""
 
-    def choose(q):
+    def choose(cur, position):
+        q = position()
         h = hash((salt, _Engine(q).key(q)))
         if h % 7 == 0:
             raise StrategyBreakdown("hashed breakdown")

@@ -169,6 +169,19 @@ def test_heavy_weights_do_not_enumerate_moves(tmp_path, capsys, monkeypatch):
     assert peak < 8 << 20
 
 
+def test_heavy_bipartite_file_answers_through_the_matching_path(tmp_path, capsys):
+    # 2^24 tokens in the middle of the path 0-1-2: an engine rooted here
+    # would pass the move-bit cap, and the matching answer builds none
+    heavy = ("mgg-pos 1\ngame nimg-rm\nconvention misere\nkind ugraph\n"
+             "vertices 3\nedges 2\nstart 1\nw 0 1\nw 1 16777216\nw 2 1\ne 0 1\ne 1 2\n")
+    code = main(["solve", write(tmp_path, "p.pos", heavy)])
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert "outcome N" in out
+    assert re.search(r"^move 0 [02]$", out, re.MULTILINE)
+    assert "solver matching-bipartite" in out
+
+
 def _long_path_file(tmp_path):
     n = 130
     lines = ["mgg-pos 1", "game vgeo", "convention normal", "kind digraph",

@@ -79,7 +79,7 @@ def test_vgeo_single_edge():
     g = build_graph("undirected", 2, [(0, 1)])
     out, policy = solve_vgeo_undirected_normal(Position("vgeo", g, 0))
     assert out is Outcome.N
-    assert policy.choose(Position("vgeo", g, 0)) == Move(1)
+    assert policy.at(Position("vgeo", g, 0)) == Move(1)
 
 
 def test_vgeo_path_start_is_losing():
@@ -115,7 +115,7 @@ def test_weight1_examples():
         assert solve(p, MIS).outcome is Outcome.N
         out, policy = solve_weight1_rm_misere(p)
         assert out is Outcome.N
-        assert policy.choose(p).k == 0
+        assert policy.at(p).k == 0
 
 
 def test_weight1_not_applicable_signals():
@@ -143,15 +143,15 @@ def test_matching_policy_reuses_each_move_and_always_breaks_down_unmatched():
     path = build_graph("undirected", 3, [(0, 1), (1, 2)])
     p = Position("nimg-rm", path, 1, (1, 1, 1))
     _, policy = solve_bipartite_rm_misere(p)
-    middle = policy.choose(p)
+    middle = policy.at(p)
     assert middle in (Move(0, 0), Move(2, 0))
-    assert policy.choose(Position("nimg-rm", path, 1, (1, 0, 1))) is middle
+    assert policy.at(Position("nimg-rm", path, 1, (1, 0, 1))) is middle
     mate = Position("nimg-rm", path, middle.to, (1, 1, 1))
-    assert policy.choose(mate) is policy.choose(mate) == Move(1, 0)
+    assert policy.at(mate) is policy.at(mate) == Move(1, 0)
     unmatched = Position("nimg-rm", path, 2 - middle.to, (1, 1, 1))
     for _ in range(2):
         with pytest.raises(StrategyBreakdown, match="unmatched"):
-            policy.choose(unmatched)
+            policy.at(unmatched)
 
 
 def test_bipartite_edge_and_path():
@@ -159,7 +159,7 @@ def test_bipartite_edge_and_path():
     p = Position("nimg-rm", g, 0, (1, 1))
     out, policy = solve_bipartite_rm_misere(p)
     assert out is Outcome.N
-    assert policy.choose(p) == Move(1, 0)
+    assert policy.at(p) == Move(1, 0)
     path = build_graph("undirected", 3, [(0, 1), (1, 2)])
     assert solve_bipartite_rm_misere(Position("nimg-rm", path, 0, (1, 1, 1)))[0] is Outcome.P
     assert solve_bipartite_rm_misere(Position("nimg-rm", path, 1, (1, 1, 1)))[0] is Outcome.N
@@ -182,7 +182,7 @@ def test_bipartite_isolated_pile_branch():
     two = Position("nimg-rm", lone, 0, (2,))
     out, policy = solve_bipartite_rm_misere(two)
     assert out is Outcome.N
-    assert policy.choose(two) == Move(0, 1)
+    assert policy.at(two) == Move(0, 1)
     assert solve(two, MIS).outcome is Outcome.N
     one = Position("nimg-rm", lone, 0, (1,))
     assert solve_bipartite_rm_misere(one)[0] is Outcome.P
@@ -209,7 +209,7 @@ def test_loops_single_vertex():
     out, policy = solve_loops_rm_misere(two)
     assert out is Outcome.N
     assert policy.provenance == "loop-stalling"
-    assert policy.choose(two) == Move(0, 1)  # stall on the loop
+    assert policy.at(two) == Move(0, 1)  # stall on the loop
     assert solve(two, MIS).outcome is Outcome.N
     one = Position("nimg-rm", g, 0, (1,))
     assert solve_loops_rm_misere(one)[0] is Outcome.P
@@ -220,7 +220,7 @@ def test_loops_light_pair():
     p = Position("nimg-rm", g, 0, (1, 1))
     out, policy = solve_loops_rm_misere(p)
     assert out is Outcome.N
-    assert policy.choose(p) == Move(1, 0)  # weight-one branch follows the edge
+    assert policy.at(p) == Move(1, 0)  # weight-one branch follows the edge
     assert solve(p, MIS).outcome is Outcome.N
 
 
@@ -328,7 +328,7 @@ def test_each_matching_solve_runs_one_maximum_matching(monkeypatch):
                 assert calls == criterion
                 if policy is not None:  # N with one token under the pointer
                     calls.clear()
-                    policy.choose(p)
+                    policy.at(p)
                     assert calls == criterion[:2]
                     weight_one_moves += 1
     assert outcomes == {Outcome.N, Outcome.P}

@@ -159,7 +159,7 @@ def test_principal_move_builds_one_child_at_a_time():
     p = Position("nimg-rm", build_graph("undirected", 2, [(0, 1)]), 0, (100_000, 1))
     t0 = time.perf_counter()
     report = solve(p, MIS)
-    advised = extract_strategy(p, MIS).choose(p)
+    advised = extract_strategy(p, MIS).at(p)
     elapsed = time.perf_counter() - t0
     assert report.outcome is Outcome.N and report.states_expanded == 3
     assert report.principal_move == advised == Move(1, 0)
@@ -270,8 +270,8 @@ def test_extract_strategy_on_edge():
     p = Position("nimg-rm", g, 0, (1, 1))
     policy = extract_strategy(p, MIS)
     assert policy.provenance == "exhaustive"
-    assert policy.choose(p) == Move(1, 0)
-    assert policy.choose(p) == Move(1, 0)  # re-query is stable
+    assert policy.at(p) == Move(1, 0)
+    assert policy.at(p) == Move(1, 0)  # re-query is stable
 
 
 def test_extract_strategy_rejects_losing_positions():
@@ -293,7 +293,7 @@ def test_extracted_strategy_never_loses():
             assert policy_to_move
             return
         if policy_to_move:
-            move = policy.choose(pos)
+            move = policy.at(pos)
             assert move in moves
             walk(apply_move(pos, move), False)
         else:
