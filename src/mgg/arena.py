@@ -15,11 +15,10 @@ from functools import partial
 
 from .graphs import DIRECTED, UNDIRECTED, Graph, build_graph
 from .kernel import NIMG_VARIANTS, VARIANTS, Convention, Position, _Engine
-from .polysolve import StrategyBreakdown
 from .posfile import serialize_position
 from .reductions import (
     REDUCTIONS, SOURCE_CONVENTION, TARGET_CONVENTION, Grid, ReductionOutput)
-from .search import DEFAULT_BUDGET, Policy, SolveReport, solve
+from .search import DEFAULT_BUDGET, Policy, SolveReport, StrategyBreakdown, solve
 
 LOOP_MODES = ("none", "all", "free")
 
@@ -66,9 +65,9 @@ def random_instance(
     weight_bound: int,
     loops: str,
     seed: int,
-    start: int | None = None,
 ) -> Position:
-    """Deterministic random position; weights are uniform in [1, weight_bound]."""
+    """Deterministic random position; weights are uniform in [1, weight_bound],
+    then the start is drawn uniformly."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown game variant {variant!r}")
     if n < 1:
@@ -80,9 +79,7 @@ def random_instance(
         if weight_bound < 1:
             raise ValueError("weight bound must be >= 1")
         weights = tuple(rng.randint(1, weight_bound) for _ in range(n))
-    if start is None:
-        start = rng.randrange(n)
-    return Position(variant, g, start, weights)
+    return Position(variant, g, rng.randrange(n), weights)
 
 
 @dataclass(frozen=True)
@@ -138,9 +135,10 @@ def verify_strategy(
     and the node's `Position` is decoded only if the policy asks for it.
     True iff every line ends at a terminal where the adversary-to-move loses
     under `c`.  False when some line does not, when the policy plays an
-    illegal move, or when it raises StrategyBreakdown.  None when more than
-    `budget` distinct nodes would be needed (indeterminate, never reported
-    as false).
+    illegal move, or when it raises StrategyBreakdown, the one exception
+    `Policy`'s contract allows; any other exception propagates.  None when
+    more than `budget` distinct nodes would be needed (indeterminate, never
+    reported as false).
     """
     engine = _Engine(p)
     move_bits, child, encode = engine.move_bits, engine.child, engine.encode

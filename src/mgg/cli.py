@@ -33,6 +33,7 @@ from .arena import LOOP_MODES, run_reduction_grid, write_counterexample, write_n
 from .kernel import (
     NIMG_MR,
     NIMG_RM,
+    CapacityError,
     Convention,
     IllegalMoveError,
     Move,
@@ -42,10 +43,10 @@ from .kernel import (
     is_terminal,
 )
 from .polysolve import NotApplicable, poly_solve
-from .posfile import read_position, write_position
+from .posfile import _decimal, read_position, write_position
 from .reductions import (
     REDUCTIONS, SOURCE_CONVENTION, TARGET_CONVENTION, Grid, InfeasibleGrid)
-from .search import DEFAULT_BUDGET, CapacityError, Outcome, solve
+from .search import DEFAULT_BUDGET, Outcome, solve
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -73,18 +74,19 @@ def format_move(variant: str, m: Move) -> str:
 
 
 def parse_move(variant: str, text: str) -> Move:
+    """The move `text` names, its numbers read as a position file reads them."""
     parts = text.split()
     if variant == NIMG_RM:
         if len(parts) != 2:
             raise ValueError("expected `k v`: new weight, then destination")
-        return Move(int(parts[1]), int(parts[0]))
+        return Move(_decimal(parts[1]), _decimal(parts[0]))
     if variant == NIMG_MR:
         if len(parts) != 2:
             raise ValueError("expected `v k`: destination, then new weight")
-        return Move(int(parts[0]), int(parts[1]))
+        return Move(_decimal(parts[0]), _decimal(parts[1]))
     if len(parts) != 1:
         raise ValueError("expected `v`: destination vertex")
-    return Move(int(parts[0]))
+    return Move(_decimal(parts[0]))
 
 
 def _answer(pos: Position, conv: Convention, method: str, budget: int, routed=None):

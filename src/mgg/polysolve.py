@@ -16,8 +16,9 @@ Covered classes, all returning (outcome, winning policy or None):
   start and reduces to the weight-one case.
 
 All four apply one criterion path: each induces one subgraph, computes one
-maximum matching of it, and `_criterion` turns the two into the outcome
-and, on a win, the policy that `_follow`s the matching in original ids.
+maximum matching of it, and one coverage query gives the outcome.  For the
+other three, `_criterion` also builds the winning policy, which `_follow`s
+the matching in original ids; the loops solver builds its own.
 The matchers skip loops, so no subgraph needs its loops stripped.
 
 `poly_solve` routes a position to the strongest applicable solver.  Inputs
@@ -37,15 +38,11 @@ from .matching import (
     max_matching_bipartite,
     max_matching_general,
 )
-from .search import Outcome, Policy
+from .search import Outcome, Policy, StrategyBreakdown
 
 
 class NotApplicable(Exception):
     """The position lies outside this solver's precondition class."""
-
-
-class StrategyBreakdown(RuntimeError):
-    """A matching policy found no mate; cannot happen inside its input class."""
 
 
 def preprocess_positive(p: Position):
@@ -142,10 +139,7 @@ def _degenerate_pile(p: Position) -> tuple[Outcome, Policy | None]:
         return Outcome.P, None
 
     def choose(current: int, position: Callable[[], Position]) -> Move:
-        q = position()
-        if q.weights[q.current] >= 2:
-            return Move(q.current, 1)  # leave a single token behind
-        raise ValueError("no winning move on a single remaining token")
+        return Move(current, 1)  # leave a single token behind
 
     return Outcome.N, Policy(choose, "matching-following")
 
@@ -197,7 +191,8 @@ def _loops_outcome(g: Graph, weights, vertex: int) -> Outcome:
     if weights[vertex] != 1:
         return Outcome.N  # no token: the mover has won; two or more: stall
     sub, relab, matching = _light_matching(g, weights, vertex)
-    return _criterion(sub, relab, vertex, matching)[0]
+    covered = covered_by_all_maximum_matchings(sub, relab.to_new(vertex), matching)
+    return Outcome.N if covered else Outcome.P
 
 
 def solve_loops_rm_misere(p: Position) -> tuple[Outcome, Policy | None]:
@@ -219,24 +214,21 @@ def solve_loops_rm_misere(p: Position) -> tuple[Outcome, Policy | None]:
     loops = p.graph.loop_vertices
     if any(w and v not in loops for v, w in enumerate(p.weights)):
         raise NotApplicable("loop missing on a token-bearing vertex")
-    if _loops_outcome(p.graph, p.weights, p.current) is Outcome.P:
+    g = p.graph
+    if _loops_outcome(g, p.weights, p.current) is Outcome.P:
         return Outcome.P, None
 
     def choose(current: int, position: Callable[[], Position]) -> Move:
-        r = position()
-        w = r.weights
-        cur = r.current
-        if w[cur] == 0:
-            raise ValueError("terminal position: the mover has already won")
-        if w[cur] == 1:  # the weight-one game on the light component
-            _, relab, matching = _light_matching(r.graph, w, cur)
-            return _follow(relab, matching)(cur, position)
-        drained = w[:cur] + (0,) + w[cur + 1:]
-        for v in r.graph.adjacency[cur]:
+        w = position().weights
+        if w[current] == 1:  # the weight-one game on the light component
+            _, relab, matching = _light_matching(g, w, current)
+            return _follow(relab, matching)(current, position)
+        drained = w[:current] + (0,) + w[current + 1:]
+        for v in g.adjacency[current]:
             # Move(v, 0) leads to the opponent on v with `drained`
-            if v != cur and _loops_outcome(r.graph, drained, v) is Outcome.P:
+            if v != current and _loops_outcome(g, drained, v) is Outcome.P:
                 return Move(v, 0)
-        return Move(cur, 1)  # stall: keep one token, stay on the loop
+        return Move(current, 1)  # stall: keep one token, stay on the loop
 
     return Outcome.N, Policy(choose, "loop-stalling")
 

@@ -44,15 +44,22 @@ class SolveReport:
     budget_exhausted: bool
 
 
+class StrategyBreakdown(RuntimeError):
+    """A policy has no move to offer at the position it was asked about."""
+
+
 @dataclass(frozen=True)
 class Policy:
     """Deterministic move advice for the winning side of an N position.
 
     ``choose(current, position)`` gets the token's vertex at once; calling
     ``position()`` builds the full `Position`, so a policy calls it only when
-    it needs more than the current vertex.  The answer must be a pure
-    function of that position: the strategy certifier asks once per distinct
-    position and reuses the answer wherever that position recurs.
+    it needs more than the current vertex.  It returns a `Move` or raises
+    StrategyBreakdown; it need not check that the move is legal, since the
+    certifier (`mgg.arena.verify_strategy`) rejects an illegal one and the
+    CLI asks only at an N position.  The answer must be a pure function of
+    that position: the certifier asks once per distinct position and reuses
+    the answer wherever that position recurs.
     """
 
     choose: Callable[[int, Callable[[], Position]], Move]
@@ -148,7 +155,9 @@ def extract_strategy(p: Position, c: Convention, budget: int = DEFAULT_BUDGET) -
     """Winning policy for the mover at `p`; usage error unless solve(p,c) = N.
 
     Raises BudgetExhausted when `budget` states do not settle the root, and
-    its policy raises it when they do not settle a queried position.
+    its policy raises it when they do not settle a queried position.  At a
+    queried position with no winning move (a P position) the policy raises
+    StrategyBreakdown.
 
     The returned policy owns a private transposition table shared across its
     own queries, and answers with the canonically-first winning move.
@@ -174,7 +183,7 @@ def extract_strategy(p: Position, c: Convention, budget: int = DEFAULT_BUDGET) -
     def choose(current: int, position: Callable[[], Position]) -> Move:
         move = engine.first(engine.key(position()), lost)
         if move is None:
-            raise ValueError("no winning move: position is not an N position")
+            raise StrategyBreakdown("no winning move: position is not an N position")
         return move
 
     return Policy(choose, "exhaustive")

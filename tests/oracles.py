@@ -15,8 +15,7 @@ from dataclasses import replace
 from mgg.graphs import Graph, build_graph
 from mgg.kernel import Convention, Move, Position
 from mgg.matching import Matching
-from mgg.polysolve import StrategyBreakdown
-from mgg.search import Policy
+from mgg.search import Policy, StrategyBreakdown
 
 
 def legal_moves(p: Position) -> list[Move]:

@@ -17,14 +17,14 @@ from mgg.arena import (
 from mgg.graphs import build_graph
 from mgg.kernel import Convention, Move, Position, _Engine, legal_moves
 from mgg.polysolve import (
-    StrategyBreakdown,
     solve_bipartite_rm_misere,
     solve_loops_rm_misere,
     solve_vgeo_undirected_normal,
     solve_weight1_rm_misere,
 )
 from mgg.reductions import InfeasibleGrid
-from mgg.search import BITSET_CAP, Outcome, Policy, extract_strategy, solve
+from mgg.search import (
+    BITSET_CAP, Outcome, Policy, StrategyBreakdown, extract_strategy, solve)
 from oracles import apply_move, count_reachable, naive_certify
 from oracles import legal_moves as oracle_moves
 from strategies import any_fresh_position
@@ -180,6 +180,17 @@ def test_verify_strategy_rejects_strategy_breakdown():
         raise StrategyBreakdown(f"token vertex {position().current} is unmatched")
 
     assert verify_strategy(p, NORM, Policy(choose, "matching-following")) is False
+
+
+def test_verify_strategy_is_false_where_a_library_policy_has_no_move():
+    # each policy below is certified at a P position it was not built for
+    path = build_graph("undirected", 3, [(0, 1), (1, 2)])
+    policy = extract_strategy(Position("vgeo", path, 1), NORM)
+    assert verify_strategy(Position("vgeo", path, 0), NORM, policy) is False
+    lone = build_graph("undirected", 1, [])
+    outcome, pile = solve_bipartite_rm_misere(Position("nimg-rm", lone, 0, (3,)))
+    assert outcome is Outcome.N
+    assert verify_strategy(Position("nimg-rm", lone, 0, (1,)), MIS, pile) is False
 
 
 def test_verify_strategy_has_no_bitset_cap():

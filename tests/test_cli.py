@@ -486,3 +486,12 @@ def test_move_round_trip_formats():
         parse_move("nimg-rm", "1")
     with pytest.raises(ValueError):
         parse_move("vgeo", "1 2")
+
+
+@pytest.mark.parametrize("variant, text", [
+    ("nimg-rm", "1_0 +1"), ("nimg-mr", "+1 0"), ("vgeo", "\u0663"), ("egeo", "1_0"),
+])
+def test_parse_move_reads_numbers_as_position_files_do(variant, text):
+    # ASCII digits after an optional `-` only: no `_`, `+` or other digits
+    with pytest.raises(ValueError, match="not an integer"):
+        parse_move(variant, text)

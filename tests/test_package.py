@@ -1,0 +1,66 @@
+"""Each `mgg` module is the one home of the names it defines.
+
+Code imports a name from the module that defines it, never through a
+module that merely imports it, and a bare `import mgg` loads the eight
+library modules that `perfbench/` reads from `sys.modules`, but not the CLI.
+"""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+LIBRARY = ("arena", "graphs", "kernel", "matching", "polysolve", "posfile",
+           "reductions", "search")
+
+
+def _defined(path: Path) -> set[str]:
+    """The names a module binds at top level by def, class or assignment."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return names
+
+
+def _imports(path: Path):
+    """(module, name) of each `from .module import name` in a package file
+    and each `from mgg.module import name` elsewhere."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ImportFrom) or not node.module:
+            continue
+        if node.level == 1:
+            module = node.module
+        elif node.level == 0 and node.module.startswith("mgg."):
+            module = node.module.removeprefix("mgg.")
+        else:
+            continue
+        for alias in node.names:
+            yield module, alias.name
+
+
+def test_every_imported_name_comes_from_the_module_that_defines_it():
+    package = sorted((SRC / "mgg").glob("*.py"))
+    defined = {path.stem: _defined(path) for path in package}
+    strays = [
+        f"{path.relative_to(ROOT)}: {name} from {module}"
+        for path in package + sorted((ROOT / "tests").glob("*.py"))
+        for module, name in _imports(path)
+        if name not in defined[module]
+    ]
+    assert strays == []
+
+
+def test_import_mgg_loads_the_library_modules_and_not_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    script = "import mgg, sys; print(*sorted(m for m in sys.modules if m.startswith('mgg.')))"
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == [f"mgg.{m}" for m in LIBRARY]

@@ -9,7 +9,6 @@ from mgg.graphs import build_graph
 from mgg.kernel import Convention, Move, Position
 from mgg.polysolve import (
     NotApplicable,
-    StrategyBreakdown,
     poly_solve,
     preprocess_positive,
     solve_bipartite_rm_misere,
@@ -17,7 +16,7 @@ from mgg.polysolve import (
     solve_vgeo_undirected_normal,
     solve_weight1_rm_misere,
 )
-from mgg.search import Outcome, solve
+from mgg.search import Outcome, StrategyBreakdown, solve
 from oracles import naive_certify, odd_closed_walk_exists, random_connected_bipartite
 from strategies import nimg_positions
 

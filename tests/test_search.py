@@ -7,10 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mgg.graphs import build_graph
-from mgg.kernel import Convention, Move, Position, _Engine, first_move
+from mgg.kernel import CapacityError, Convention, Move, Position, _Engine, first_move
 from mgg.search import (
     BudgetExhausted,
-    CapacityError,
     Outcome,
     extract_strategy,
     solve,
