@@ -43,7 +43,7 @@ from .kernel import (
     is_terminal,
 )
 from .polysolve import NotApplicable, poly_solve
-from .posfile import _decimal, read_position, write_position
+from .posfile import parse_decimal, read_position, write_position
 from .reductions import (
     REDUCTIONS, SOURCE_CONVENTION, TARGET_CONVENTION, Grid, InfeasibleGrid)
 from .search import DEFAULT_BUDGET, Outcome, solve
@@ -79,14 +79,14 @@ def parse_move(variant: str, text: str) -> Move:
     if variant == NIMG_RM:
         if len(parts) != 2:
             raise ValueError("expected `k v`: new weight, then destination")
-        return Move(_decimal(parts[1]), _decimal(parts[0]))
+        return Move(parse_decimal(parts[1]), parse_decimal(parts[0]))
     if variant == NIMG_MR:
         if len(parts) != 2:
             raise ValueError("expected `v k`: destination, then new weight")
-        return Move(_decimal(parts[0]), _decimal(parts[1]))
+        return Move(parse_decimal(parts[0]), parse_decimal(parts[1]))
     if len(parts) != 1:
         raise ValueError("expected `v`: destination vertex")
-    return Move(_decimal(parts[0]))
+    return Move(parse_decimal(parts[0]))
 
 
 def _answer(pos: Position, conv: Convention, method: str, budget: int, routed=None):

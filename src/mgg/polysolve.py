@@ -214,12 +214,12 @@ def solve_loops_rm_misere(p: Position) -> tuple[Outcome, Policy | None]:
     loops = p.graph.loop_vertices
     if any(w and v not in loops for v, w in enumerate(p.weights)):
         raise NotApplicable("loop missing on a token-bearing vertex")
-    g = p.graph
-    if _loops_outcome(g, p.weights, p.current) is Outcome.P:
+    if _loops_outcome(p.graph, p.weights, p.current) is Outcome.P:
         return Outcome.P, None
 
     def choose(current: int, position: Callable[[], Position]) -> Move:
-        w = position().weights
+        q = position()
+        g, w = q.graph, q.weights
         if w[current] == 1:  # the weight-one game on the light component
             _, relab, matching = _light_matching(g, w, current)
             return _follow(relab, matching)(current, position)

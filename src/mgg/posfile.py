@@ -55,7 +55,8 @@ class PositionParseError(ValueError):
         self.message, self.line = message, line
 
 
-def _decimal(token: str) -> int:
+def parse_decimal(token: str) -> int:
+    """The integer `token` spells under the position-file rule `_DECIMAL`."""
     if not _DECIMAL.fullmatch(token):
         raise ValueError(f"not an integer: {token!r}")
     return int(token)
@@ -63,7 +64,7 @@ def _decimal(token: str) -> int:
 
 def _integer(name: str, value: str, line: int) -> int:
     try:
-        return _decimal(value)
+        return parse_decimal(value)
     except ValueError:
         raise PositionParseError(f"{name} must be an integer, got {value!r}", line) from None
 
@@ -109,7 +110,7 @@ def parse_position(text: str) -> tuple[Position, Convention]:
     # int() also reads `1_0`, `+1` and non-ASCII digits.  In a text with no
     # `_`, `+` or non-ASCII character it reads only what _DECIMAL matches, so
     # only other texts pay for matching each body token.
-    num = int if text.isascii() and "_" not in text and "+" not in text else _decimal
+    num = int if text.isascii() and "_" not in text and "+" not in text else parse_decimal
     nw = n if game in NIMG_VARIANTS else 0
     if len(body) < nw + m:
         declared = f"{n} `w` and {m} `e`" if nw else f"{m} `e`"

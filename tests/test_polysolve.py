@@ -233,6 +233,10 @@ def test_loops_missing_loop_signal():
 
 
 def test_loops_random_suite():
+    # the policy reads all but the current vertex from the position it is
+    # asked about, so the one of a lone stalling vertex certifies everywhere
+    lone = build_graph("undirected", 1, [(0, 0)])
+    _, anywhere = solve_loops_rm_misere(Position("nimg-rm", lone, 0, (2,)))
     rng = random.Random(123)
     for _ in range(150):
         n = rng.randrange(1, 6)
@@ -247,6 +251,7 @@ def test_loops_random_suite():
         assert out == solve(p, MIS).outcome
         if out is Outcome.N:
             assert verify_strategy(p, MIS, policy) is True
+            assert verify_strategy(p, MIS, anywhere) is True
 
 
 def test_loop_moves_never_help_at_weight_one():
