@@ -95,10 +95,6 @@ class TrialReport:
     target: SolveReport
     agree: bool | None
 
-    @property
-    def completed(self) -> bool:
-        return not (self.source.budget_exhausted or self.target.budget_exhausted)
-
 
 def check_reduction(
     name: str,

@@ -2,7 +2,9 @@
 
 `solve` and the engine side of `play` share one answer path: the matching
 router `polysolve.poly_solve` first, the exhaustive search when it declines
-(`--method` picks either alone).
+(`--method` picks either alone).  `play` walks one `kernel._Engine` from
+the start position: its packed key says when the game is over, checks and
+plays both sides' moves, and gives the engine's move when it is losing.
 
 Commands raise; `main` maps each failure once, through `_FAILURES`, to an
 exit code and one stderr line, and lets any other exception through.  The
@@ -35,12 +37,9 @@ from .kernel import (
     NIMG_RM,
     CapacityError,
     Convention,
-    IllegalMoveError,
     Move,
     Position,
-    apply_move,
-    first_move,
-    is_terminal,
+    _Engine,
 )
 from .polysolve import NotApplicable, poly_solve
 from .posfile import parse_decimal, read_position, write_position
@@ -202,24 +201,18 @@ def _print_board(pos: Position, conv: Convention, human_turn: bool) -> None:
     print("edges:", " ".join(f"{u}{sep}{v}" for u, v in live) or "(none)")
 
 
-def _engine_move(
-    pos: Position, conv: Convention, method: str, budget: int, routed=None
-) -> Move:
-    # `matching` was checked at the start; a later position may leave its class
-    outcome, move, *_ = _answer(
-        pos, conv, "auto" if method == "matching" else method, budget, routed)
-    return move if outcome is Outcome.N else first_move(pos)  # losing anyway: play on
-
-
 def cmd_play(args) -> int:
     pos, conv = read_position(args.position)
     # the router's answer for the start position: `matching` must cover it
     routed = poly_solve(pos, conv) if args.method == "matching" else None
+    # a later position may leave the start's class: `matching` falls back then
+    method = "auto" if args.method == "matching" else args.method
+    engine = _Engine(pos)  # may raise CapacityError, so before any output
+    key = engine.key(pos)
     human_turn = not args.engine_first
     while True:
-        over = is_terminal(pos)  # may raise CapacityError, so before any output
         _print_board(pos, conv, human_turn)
-        if over:
+        if not engine.move_bits(key):
             stuck = "you" if human_turn else "engine"
             if conv is Convention.NORMAL:
                 winner = "engine" if human_turn else "you"
@@ -228,23 +221,24 @@ def cmd_play(args) -> int:
             print(f"game over: {stuck} cannot move; {winner} win{'s' if winner == 'engine' else ''}")
             return EXIT_OK
         if human_turn:
-            move = None
-            while move is None:
+            child = None
+            while child is None:
                 try:
                     line = input("your move> ")
                 except EOFError:
                     print("\nno input: leaving game", file=sys.stderr)
                     return EXIT_INPUT
-                try:
-                    candidate = parse_move(pos.variant, line)
-                    pos = apply_move(pos, candidate)
-                    move = candidate
-                except (ValueError, IllegalMoveError) as exc:
+                try:  # an IllegalMoveError is a ValueError
+                    child = engine.after(key, parse_move(pos.variant, line))
+                except ValueError as exc:
                     print(f"illegal move: {exc}")
         else:
-            move = _engine_move(pos, conv, args.method, args.budget, routed)
+            outcome, move, *_ = _answer(pos, conv, method, args.budget, routed)
+            if outcome is not Outcome.N:  # losing anyway: play on
+                move = engine.first(key)
             print(f"engine plays: {format_move(pos.variant, move)}")
-            pos = apply_move(pos, move)
+            child = engine.after(key, move)
+        key, pos = child, engine.position(child)
         routed = None  # it answered the start position only
         human_turn = not human_turn
 

@@ -33,9 +33,9 @@ weight ``k`` for nimg); ``child(key, bit)``, the key one move leads to;
 ``decode(key)``, the legal `Move`s in canonical order;
 ``encode(key, move)``, the move's bit index, or None when no move of that
 shape exists; and ``move(key, i)``, the `Move` of bit index ``i``.
-`legal_moves`, `apply_move`, `is_terminal` and `first_move` are views over
-one engine rooted at their position; the solver in `mgg.search` walks the
-same engine.
+The solver in `mgg.search`, the certifier in `mgg.arena` and `mgg play`
+each walk one engine from their root; `legal_moves` and `apply_move` are
+views over a fresh engine rooted at their position.
 """
 
 from __future__ import annotations
@@ -269,11 +269,12 @@ class _Engine:
     Keys are defined for the positions reachable from the root.  The only
     cap here is `MOVE_BITS_CAP` on nimg roots, checked before any move bits
     exist; the solver's bitset contract is enforced by `mgg.search`, so the
-    strategy certifier and the views can walk geography positions of any
-    size.  The solver and the certifier (`mgg.arena.verify_strategy`) walk
-    children by popping `move_bits` lowest first into `child`; the certifier
-    checks a policy's move with `encode` against the same bits, and decodes
-    a `position` only when a policy asks for one.
+    strategy certifier, `mgg play` and the views can walk geography
+    positions of any size.  The solver and the certifier
+    (`mgg.arena.verify_strategy`) walk children by popping `move_bits`
+    lowest first into `child`; the certifier checks a policy's move with
+    `encode` against the same bits, and decodes a `position` only when a
+    policy asks for one.
     """
 
     def __init__(self, root: Position):
@@ -325,11 +326,12 @@ class _Engine:
             rem ^= bit
         return None
 
-    def after(self, key: int, m: Move) -> int | None:
-        """Key of the position `m` leads to, or None if `m` is illegal at `key`."""
+    def after(self, key: int, m: Move) -> int:
+        """Key of the position `m` leads to; IllegalMoveError if `m` is
+        illegal at `key`."""
         i = self.encode(key, m)
         if i is None or not self.move_bits(key) >> i & 1:
-            return None
+            raise IllegalMoveError(f"illegal {self.variant} move {m}")
         return self.child(key, 1 << i)
 
     def position(self, key: int) -> Position:
@@ -356,18 +358,4 @@ def legal_moves(p: Position) -> list[Move]:
 def apply_move(p: Position, m: Move) -> Position:
     """New position after `m`; raises IllegalMoveError on contract violation."""
     e = _Engine(p)
-    child = e.after(e.key(p), m)
-    if child is None:
-        raise IllegalMoveError(f"illegal {p.variant} move {m}")
-    return e.position(child)
-
-
-def first_move(p: Position) -> Move | None:
-    """``legal_moves(p)[0]`` without listing the others; None when terminal."""
-    e = _Engine(p)
-    return e.first(e.key(p))
-
-
-def is_terminal(p: Position) -> bool:
-    e = _Engine(p)
-    return not e.move_bits(e.key(p))
+    return e.position(e.after(e.key(p), m))

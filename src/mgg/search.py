@@ -5,8 +5,8 @@ rules live there, and every reachable position is one packed int key.  The
 search takes one child at a time from ``move_bits(key)`` (``rem & -rem``), so
 a won state never builds the children after its first losing one.  It runs
 iteratively, so deep playouts cannot hit the interpreter recursion limit.
-The transposition table lives for a single query; concurrent queries share
-nothing.
+Every query builds its own transposition table and drops it with the answer
+(`solve_with_table` hands it back for inspection); no two queries share one.
 
 Plain win/lose search only: outcomes are all the downstream checks need, and
 Sprague-Grundy values do not transfer to misere play anyway.
@@ -30,10 +30,6 @@ BITSET_CAP = 128
 class Outcome(Enum):
     N = "N"
     P = "P"
-
-
-class BudgetExhausted(RuntimeError):
-    """The state budget ran out before the answer was known."""
 
 
 @dataclass(frozen=True)
@@ -63,7 +59,7 @@ class Policy:
     """
 
     choose: Callable[[int, Callable[[], Position]], Move]
-    provenance: str  # matching-following | loop-stalling | exhaustive
+    provenance: str  # the library makes matching-following and loop-stalling
 
     def at(self, q: Position) -> Move:
         """The policy's move at `q`."""
@@ -78,18 +74,14 @@ def _root_engine(p: Position) -> _Engine:
     return _Engine(p)
 
 
-def _solve_packed(engine: _Engine, root_key: int, mover_wins_terminal: bool,
-                  budget: int, table: dict | None = None):
+def _solve_packed(engine: _Engine, root_key: int, mover_wins_terminal: bool, budget: int):
     """Iterative negamax over packed keys.
 
     Returns (win, expanded, table) where `win` is True iff the player to move
     at `root_key` wins, or None when the budget ran out first.  A frame is
     ``[key, remaining move bits]``, the bits None until the key is expanded.
     """
-    if table is None:
-        table = {}
-    if root_key in table:
-        return table[root_key], 0, table
+    table = {}
     move_bits, child, get = engine.move_bits, engine.child, table.get
     expanded = 0
     stack = [[root_key, None]]
@@ -150,40 +142,3 @@ def solve_with_table(p: Position, c: Convention, budget: int = DEFAULT_BUDGET):
     outcome = Outcome.N if win else Outcome.P
     return SolveReport(outcome, principal, expanded, False), table
 
-
-def extract_strategy(p: Position, c: Convention, budget: int = DEFAULT_BUDGET) -> Policy:
-    """Winning policy for the mover at `p`; usage error unless solve(p,c) = N.
-
-    Raises BudgetExhausted when `budget` states do not settle the root, and
-    its policy raises it when they do not settle a queried position.  At a
-    queried position with no winning move (a P position) the policy raises
-    StrategyBreakdown.
-
-    The returned policy owns a private transposition table shared across its
-    own queries, and answers with the canonically-first winning move.
-    """
-    engine = _root_engine(p)
-    root = engine.key(p)
-    mover_wins_terminal = c is Convention.MISERE
-    table: dict = {}
-    win, _, _ = _solve_packed(engine, root, mover_wins_terminal, budget, table)
-    if win is None:
-        raise BudgetExhausted("budget exhausted before the root position was solved")
-    if not win:
-        raise ValueError("extract_strategy requires an N position")
-
-    def lost(child: int) -> bool:
-        r = table.get(child)
-        if r is None:
-            r, _, _ = _solve_packed(engine, child, mover_wins_terminal, budget, table)
-            if r is None:
-                raise BudgetExhausted("budget exhausted while advising a move")
-        return not r
-
-    def choose(current: int, position: Callable[[], Position]) -> Move:
-        move = engine.first(engine.key(position()), lost)
-        if move is None:
-            raise StrategyBreakdown("no winning move: position is not an N position")
-        return move
-
-    return Policy(choose, "exhaustive")

@@ -126,7 +126,7 @@ def test_criterion_05_reduction_vgeo_undir():
         budget=10_000_000,
     )
     elapsed = time.perf_counter() - t0
-    completed = [r for r in reports if r.completed]
+    completed = [r for r in reports if r.agree is not None]
     assert len(reports) >= 100
     assert len(completed) >= 0.9 * len(reports)
     assert all(r.agree is True for r in completed)

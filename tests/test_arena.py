@@ -23,10 +23,10 @@ from mgg.polysolve import (
     solve_weight1_rm_misere,
 )
 from mgg.reductions import InfeasibleGrid
-from mgg.search import (
-    BITSET_CAP, Outcome, Policy, StrategyBreakdown, extract_strategy, solve)
+from mgg.search import BITSET_CAP, Outcome, Policy, StrategyBreakdown, solve
 from oracles import apply_move, count_reachable, naive_certify
 from oracles import legal_moves as oracle_moves
+from policies import exhaustive_policy
 from strategies import any_fresh_position
 
 MIS = Convention.MISERE
@@ -99,7 +99,6 @@ def test_check_reduction_budget_is_not_disagreement():
     report, _ = check_reduction("vgeo-undir", p, budget=3)
     assert report.agree is None
     assert report.target.budget_exhausted or report.source.budget_exhausted
-    assert not report.completed
 
 
 def test_check_reduction_validates_variant():
@@ -145,7 +144,7 @@ def test_verify_strategy_rejects_bad_policy():
     p = Position("nimg-rm", g, 2, (1, 1, 2))
     assert solve(p, MIS).outcome is Outcome.N
     lowest = Policy(lambda cur, position: legal_moves(position())[0], "exhaustive")
-    good = extract_strategy(p, MIS)
+    good = exhaustive_policy(MIS)
     assert verify_strategy(p, MIS, good) is True
     assert verify_strategy(p, MIS, lowest) is False
 
@@ -160,7 +159,7 @@ def test_verify_strategy_budget_indeterminate():
     g = build_graph("undirected", 4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     p = Position("nimg-rm", g, 0, (2, 2, 2, 2))
     assert solve(p, MIS).outcome is Outcome.N
-    policy = extract_strategy(p, MIS)
+    policy = exhaustive_policy(MIS)
     assert verify_strategy(p, MIS, policy, budget=2) is None
 
 
@@ -183,9 +182,10 @@ def test_verify_strategy_rejects_strategy_breakdown():
 
 
 def test_verify_strategy_is_false_where_a_library_policy_has_no_move():
-    # each policy below is certified at a P position it was not built for
+    # each policy below is certified at a P position: the solver's has no
+    # winning move there, and the pile's was built for another position
     path = build_graph("undirected", 3, [(0, 1), (1, 2)])
-    policy = extract_strategy(Position("vgeo", path, 1), NORM)
+    policy = exhaustive_policy(NORM)
     assert verify_strategy(Position("vgeo", path, 0), NORM, policy) is False
     lone = build_graph("undirected", 1, [])
     outcome, pile = solve_bipartite_rm_misere(Position("nimg-rm", lone, 0, (3,)))
@@ -243,7 +243,7 @@ def test_matching_policies_certify_without_decoding_a_position(monkeypatch):
     assert decoded
     decoded.clear()
     q = Position("nimg-rm", path, 0, (2, 2, 2, 2))
-    assert verify_strategy(q, MIS, extract_strategy(q, MIS)) is True
+    assert verify_strategy(q, MIS, exhaustive_policy(MIS)) is True
     assert decoded
 
 
@@ -285,7 +285,7 @@ def _budget_cases():
 
 @pytest.mark.parametrize("p, conv, policy", _budget_cases())
 def test_verify_strategy_asks_once_per_position_and_counts_every_node(p, conv, policy):
-    policy = policy or extract_strategy(p, conv)
+    policy = policy or exhaustive_policy(conv)
     nodes, policy_positions = _certifier_nodes(p, policy.at)
     calls = Counter()
 
@@ -323,7 +323,7 @@ def test_verify_strategy_agrees_with_tree_oracle(p, conv, salt):
     assume(count_reachable(p, limit=60) <= 60)
     policies = [_hashed_policy(salt)]
     if solve(p, conv).outcome is Outcome.N:
-        policies.append(extract_strategy(p, conv))
+        policies.append(exhaustive_policy(conv))
     for policy in policies:
         assert verify_strategy(p, conv, policy) == naive_certify(p, conv, policy)
 
@@ -342,7 +342,7 @@ def test_extracted_strategies_certify_across_random_suite():
                             seed=rng.randrange(1 << 30))
         conv = rng.choice([NORM, MIS])
         if solve(p, conv).outcome is Outcome.N:
-            policy = extract_strategy(p, conv)
+            policy = exhaustive_policy(conv)
             assert verify_strategy(p, conv, policy) is True
             certified += 1
 

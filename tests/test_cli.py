@@ -16,7 +16,7 @@ from mgg.cli import (
     parse_move,
 )
 from mgg.arena import random_instance
-from mgg.kernel import Convention, Move, Position
+from mgg.kernel import Convention, Move, Position, _Engine
 from mgg.graphs import build_graph
 from mgg.polysolve import NotApplicable, poly_solve
 from mgg.posfile import write_position
@@ -398,9 +398,14 @@ def test_verify_flags_override_the_standard_grid(capsys):
 def test_play_full_game(tmp_path, capsys, monkeypatch):
     # winning line for the human: drain the start, step to the other vertex
     monkeypatch.setattr("sys.stdin", io.StringIO("9 9\n0 1\n"))
+    built = []
+    init = _Engine.__init__
+    monkeypatch.setattr(_Engine, "__init__",
+                        lambda engine, root: built.append(root) or init(engine, root))
     code = main(["play", write(tmp_path, "p.pos", EDGE_BIP)])
     out = capsys.readouterr().out
     assert code == EXIT_OK
+    assert len(built) == 1  # the router answers the engine's move: one engine walks the game
     assert "illegal move" in out  # the 9 9 attempt was rejected and reprompted
     assert "engine plays: 0 0" in out
     assert "you win" in out

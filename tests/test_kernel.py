@@ -11,12 +11,18 @@ from mgg.kernel import (
     IllegalMoveError,
     Move,
     Position,
+    _Engine,
     apply_move,
-    is_terminal,
     legal_moves,
 )
 from mgg.search import Outcome, solve
 from strategies import any_fresh_position, geo_positions
+
+
+def is_terminal(p):
+    """Whether `p` has no move, from the engine's move bits alone."""
+    engine = _Engine(p)
+    return not engine.move_bits(engine.key(p))
 
 
 def hub_position():

@@ -3,10 +3,13 @@
 Code imports a name from the module that defines it, never through a
 module that merely imports it, and a bare `import mgg` loads the eight
 library modules that `perfbench/` reads from `sys.modules`, but not the CLI.
+The package holds only what the CLI and the benchmark use: every name it
+defines is used elsewhere in the package or named in `perfbench/`.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,17 +20,19 @@ LIBRARY = ("arena", "graphs", "kernel", "matching", "polysolve", "posfile",
            "reductions", "search")
 
 
+def _defined_by(node: ast.stmt) -> set[str]:
+    """The names a top-level statement binds by def, class or assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return set()
+
+
 def _defined(path: Path) -> set[str]:
     """The names a module binds at top level by def, class or assignment."""
-    names = set()
-    for node in ast.parse(path.read_text()).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names.update(n.id for t in targets for n in ast.walk(t)
-                         if isinstance(n, ast.Name))
-    return names
+    return set().union(*map(_defined_by, ast.parse(path.read_text()).body))
 
 
 def _imports(path: Path):
@@ -64,3 +69,29 @@ def test_import_mgg_loads_the_library_modules_and_not_the_cli():
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == [f"mgg.{m}" for m in LIBRARY]
+
+
+def _used(node: ast.AST) -> set[str]:
+    """The names, attributes and imported names that `node` refers to."""
+    used = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            used.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            used.add(n.attr)
+        elif isinstance(n, ast.alias):
+            used.add(n.name)
+    return used
+
+
+def test_every_package_name_is_used_in_the_package_or_the_benchmark():
+    statements = [(path, node) for path in sorted((SRC / "mgg").glob("*.py"))
+                  for node in ast.parse(path.read_text()).body]
+    bench = " ".join(path.read_text() for path in (ROOT / "perfbench").glob("*.py"))
+    named = set(re.findall(r"\w+", bench))
+    unused = []
+    for path, node in statements:
+        for name in sorted(_defined_by(node) - named):
+            if not any(name in _used(other) for _, other in statements if other is not node):
+                unused.append(f"{path.relative_to(ROOT)}: {name}")
+    assert unused == []

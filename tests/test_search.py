@@ -7,15 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mgg.graphs import build_graph
-from mgg.kernel import CapacityError, Convention, Move, Position, _Engine, first_move
-from mgg.search import (
-    BudgetExhausted,
-    Outcome,
-    extract_strategy,
-    solve,
-    solve_with_table,
-)
+from mgg.kernel import CapacityError, Convention, Move, Position, _Engine
+from mgg.search import Outcome, solve, solve_with_table
 from oracles import apply_move, count_reachable, legal_moves, naive_outcome
+from policies import exhaustive_policy
 from strategies import any_fresh_position, geo_positions, nimg_positions
 
 MIS = Convention.MISERE
@@ -150,7 +145,7 @@ def test_engine_move_decodes_each_bit(p):
     bits = engine.move_bits(key)
     by_bit = [engine.move(key, i) for i in range(bits.bit_length()) if bits >> i & 1]
     assert by_bit == legal_moves(p)
-    assert first_move(p) == (by_bit[0] if by_bit else None)
+    assert engine.first(key) == (by_bit[0] if by_bit else None)
 
 
 def test_principal_move_builds_one_child_at_a_time():
@@ -158,7 +153,7 @@ def test_principal_move_builds_one_child_at_a_time():
     p = Position("nimg-rm", build_graph("undirected", 2, [(0, 1)]), 0, (100_000, 1))
     t0 = time.perf_counter()
     report = solve(p, MIS)
-    advised = extract_strategy(p, MIS).at(p)
+    advised = exhaustive_policy(MIS).at(p)
     elapsed = time.perf_counter() - t0
     assert report.outcome is Outcome.N and report.states_expanded == 3
     assert report.principal_move == advised == Move(1, 0)
@@ -250,40 +245,17 @@ def test_memo_entries_satisfy_outcome_recursion():
             assert len(solved) == len(children) and all(solved)
 
 
-def test_extract_strategy_budget_exhaustion_is_not_a_capacity_error():
-    g = build_graph("undirected", 4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    p = Position("nimg-rm", g, 0, (2, 1, 2, 1))
-    with pytest.raises(BudgetExhausted) as info:
-        extract_strategy(p, MIS, budget=1)
-    assert not isinstance(info.value, CapacityError)
-
-
 def test_solve_is_deterministic():
     g = build_graph("undirected", 4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     p = Position("nimg-rm", g, 0, (2, 1, 2, 1))
     assert solve(p, MIS) == solve(p, MIS)
 
 
-def test_extract_strategy_on_edge():
-    g = build_graph("undirected", 2, [(0, 1)])
-    p = Position("nimg-rm", g, 0, (1, 1))
-    policy = extract_strategy(p, MIS)
-    assert policy.provenance == "exhaustive"
-    assert policy.at(p) == Move(1, 0)
-    assert policy.at(p) == Move(1, 0)  # re-query is stable
-
-
-def test_extract_strategy_rejects_losing_positions():
-    p = Position("nimg-rm", build_graph("undirected", 1, []), 0, (1,))
-    with pytest.raises(ValueError):
-        extract_strategy(p, MIS)
-
-
 def test_extracted_strategy_never_loses():
     g = build_graph("undirected", 4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
     p = Position("nimg-rm", g, 0, (2, 1, 1, 2))
     assert solve(p, MIS).outcome is Outcome.N
-    policy = extract_strategy(p, MIS)
+    policy = exhaustive_policy(MIS)
 
     def walk(pos, policy_to_move):
         moves = legal_moves(pos)
