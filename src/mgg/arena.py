@@ -89,8 +89,6 @@ class TrialReport:
 
     reduction: str
     seed: int
-    n: int
-    m: int
     source: SolveReport
     target: SolveReport
     agree: bool | None
@@ -115,8 +113,7 @@ def check_reduction(
     agree = None
     if not (src.budget_exhausted or tgt.budget_exhausted):
         agree = src.outcome == tgt.outcome
-    g = instance.graph
-    return TrialReport(name, seed, g.n, len(g.edges), src, tgt, agree), out
+    return TrialReport(name, seed, src, tgt, agree), out
 
 
 def verify_strategy(
@@ -125,7 +122,7 @@ def verify_strategy(
     """Certify a claimed winning policy against every adversary line.
 
     Fixes the policy's move wherever the policy is to move and branches over
-    all replies, visiting each distinct (position, side to move) node once.
+    all replies, visiting each distinct (key, side to move) node once.
     A node is one int, ``key << 1 | policy_to_move``: the engine's packed
     key with the side to move in bit 0.  The policy gets the token's vertex,
     and the node's `Position` is decoded only if the policy asks for it.
@@ -141,7 +138,7 @@ def verify_strategy(
     position, cur_mask = engine.position, engine.cur_mask
     # the player to move at a terminal loses exactly under normal play
     stuck_loses = c is Convention.NORMAL
-    root = engine.key(p) << 1 | 1
+    root = engine.root << 1 | 1
     seen = {root}
     stack = [root]
     expanded = 0

@@ -170,7 +170,7 @@ def cmd_verify(args) -> int:
             flag = {True: "yes", False: "NO", None: "budget"}[report.agree]
             tally[flag] += 1
             print(
-                f"{index} {report.seed} {report.n} {report.m} "
+                f"{index} {report.seed} {pos.graph.n} {len(pos.graph.edges)} "
                 f"{pos.current} {src} {tgt} {flag}"
             )
             if report.agree is False:
@@ -191,14 +191,11 @@ def _print_board(pos: Position, conv: Convention, human_turn: bool) -> None:
     cells = []
     for v in range(pos.graph.n):
         tag = f"w={pos.weights[v]}" if pos.weights is not None else ""
-        if v in pos.removed_vertices:
-            tag = "gone"
         mark = "*" if v == pos.current else ""
         cells.append(f"{v}[{tag}]{mark}" if tag else f"{v}{mark}")
     print("vertices:", " ".join(cells))
     sep = "->" if pos.graph.directed else "-"
-    live = [e for e in pos.graph.edges if e not in pos.removed_edges]
-    print("edges:", " ".join(f"{u}{sep}{v}" for u, v in live) or "(none)")
+    print("edges:", " ".join(f"{u}{sep}{v}" for u, v in pos.graph.edges) or "(none)")
 
 
 def cmd_play(args) -> int:
@@ -208,7 +205,7 @@ def cmd_play(args) -> int:
     # a later position may leave the start's class: `matching` falls back then
     method = "auto" if args.method == "matching" else args.method
     engine = _Engine(pos)  # may raise CapacityError, so before any output
-    key = engine.key(pos)
+    key = engine.root
     human_turn = not args.engine_first
     while True:
         _print_board(pos, conv, human_turn)

@@ -47,10 +47,6 @@ class Graph:
         return DIRECTED if self.directed else UNDIRECTED
 
     @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
-
-    @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Out-neighbours per vertex, ascending.  A loop lists u in adj[u] once.
 

@@ -36,6 +36,11 @@ shape exists; and ``move(key, i)``, the `Move` of bit index ``i``.
 The solver in `mgg.search`, the certifier in `mgg.arena` and `mgg play`
 each walk one engine from their root; `legal_moves` and `apply_move` are
 views over a fresh engine rooted at their position.
+
+A position holds no history: a played geography position is the fresh
+position on the graph that remains, with the same vertex ids.  In vgeo the
+departed vertex keeps no edge, so the token can never re-enter it; in egeo
+the crossed arc is gone.
 """
 
 from __future__ import annotations
@@ -87,12 +92,13 @@ class Move:
 
 @dataclass(frozen=True)
 class Position:
+    """What a position file holds: a graph, the token's vertex and, for the
+    nimg games, the weights."""
+
     variant: str
     graph: Graph
     current: int
     weights: WeightMap | None = None
-    removed_vertices: frozenset[int] = frozenset()
-    removed_edges: frozenset[tuple[int, int]] = frozenset()
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -105,18 +111,6 @@ class Position:
             object.__setattr__(self, "weights", validate_weights(self.graph, self.weights))
         elif self.weights is not None:
             raise ValueError(f"{self.variant} position carries no weights")
-        if self.removed_vertices:
-            if self.variant != VGEO:
-                raise ValueError("removed_vertices applies to vgeo only")
-            if self.current in self.removed_vertices:
-                raise ValueError("current vertex already removed")
-            if not 0 <= min(self.removed_vertices) <= max(self.removed_vertices) < self.graph.n:
-                raise ValueError("removed vertex outside graph")
-        if self.removed_edges:
-            if self.variant != EGEO:
-                raise ValueError("removed_edges applies to egeo only")
-            if not self.removed_edges <= self.graph.edge_set:
-                raise ValueError("removed edge not in graph")
 
 
 def _vgeo_rules(e: _Engine):
@@ -266,7 +260,8 @@ _RULES = {VGEO: _vgeo_rules, EGEO: _egeo_rules, NIMG_RM: _nimg_rm_rules, NIMG_MR
 class _Engine:
     """The game of one root position, over packed int keys.
 
-    Keys are defined for the positions reachable from the root.  The only
+    Keys are defined for the positions reachable from the root, whose own
+    key is `root`, and `position` decodes any of them.  The only
     cap here is `MOVE_BITS_CAP` on nimg roots, checked before any move bits
     exist; the solver's bitset contract is enforced by `mgg.search`, so the
     strategy certifier, `mgg play` and the views can walk geography
@@ -291,28 +286,12 @@ class _Engine:
                     f"nimg move bits limited to {MOVE_BITS_CAP} per state; "
                     f"this position needs {width}")
             self.offsets = [sh + b * v for v in range(g.n)]
+            payload = sum(w << (b * v) for v, w in enumerate(root.weights))
+        else:  # every vertex (vgeo) or arc (egeo) of a position is live
+            payload = (1 << (g.n if root.variant == VGEO else len(g.edges))) - 1
+        self.root = payload << sh | root.current
         self.move_bits, self.child, self.decode, self.encode, self.move = (
             _RULES[root.variant](self))
-
-    def key(self, p: Position) -> int:
-        """Packed key of `p`, a position reachable from the engine's root."""
-        g = self.graph
-        if p.variant in NIMG_VARIANTS:
-            b = self.field
-            if max(p.weights) >> b:
-                raise ValueError(f"a weight does not fit the root's {b}-bit fields")
-            payload = sum(w << (b * v) for v, w in enumerate(p.weights))
-        elif p.variant == VGEO:
-            payload = (1 << g.n) - 1
-            for v in p.removed_vertices:
-                payload &= ~(1 << v)
-        else:
-            payload = (1 << len(g.edges)) - 1
-            if p.removed_edges:
-                index = {e: i for i, e in enumerate(g.edges)}
-                for e in p.removed_edges:
-                    payload &= ~(1 << index[e])
-        return payload << self.sh | p.current
 
     def first(self, key: int, wins=None) -> Move | None:
         """Canonically first move whose child key satisfies `wins` (any move
@@ -335,27 +314,27 @@ class _Engine:
         return self.child(key, 1 << i)
 
     def position(self, key: int) -> Position:
-        """The full position a key encodes, on this engine's graph."""
+        """The position a key encodes: for geography, the graph that remains."""
         g, cur = self.graph, key & self.cur_mask
         if self.variant in NIMG_VARIANTS:
             fm = (1 << self.field) - 1
             wts = tuple([key >> o & fm for o in self.offsets])
             return Position(self.variant, g, cur, wts)
         payload = key >> self.sh
-        if self.variant == VGEO:
-            dead = frozenset(v for v in range(g.n) if not payload >> v & 1)
-            return Position(VGEO, g, cur, removed_vertices=dead)
-        dead = frozenset(e for i, e in enumerate(g.edges) if not payload >> i & 1)
-        return Position(EGEO, g, cur, removed_edges=dead)
+        if self.variant == VGEO:  # an edge with a dead end, a loop too, is gone
+            live = [(u, v) for u, v in g.edges if payload >> u & payload >> v & 1]
+        else:
+            live = [e for i, e in enumerate(g.edges) if payload >> i & 1]
+        return Position(self.variant, Graph(g.n, tuple(live), g.directed), cur)
 
 
 def legal_moves(p: Position) -> list[Move]:
     """All legal moves, in canonical order (ascending destination, then k)."""
     e = _Engine(p)
-    return e.decode(e.key(p))
+    return e.decode(e.root)
 
 
 def apply_move(p: Position, m: Move) -> Position:
     """New position after `m`; raises IllegalMoveError on contract violation."""
     e = _Engine(p)
-    return e.position(e.after(e.key(p), m))
+    return e.position(e.after(e.root, m))

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 from .graphs import Bipartition, Graph
 
@@ -39,10 +38,6 @@ class Matching:
     """Symmetric pairing: mate[u] is u's partner or None."""
 
     mate: tuple[int | None, ...]
-
-    @cached_property
-    def size(self) -> int:
-        return sum(1 for v in self.mate if v is not None) // 2
 
 
 def _require_undirected(g: Graph) -> None:

@@ -102,7 +102,7 @@ def _follow(relab: Relabeling, matching: Matching, k: int | None = 0):
 def solve_vgeo_undirected_normal(p: Position) -> tuple[Outcome, Policy | None]:
     """Normal-play vertex geography on an undirected graph.
 
-    The mover wins iff every maximum matching of the live graph covers the
+    The mover wins iff every maximum matching of the graph covers the
     token vertex; the policy slides along a fixed maximum matching.  Loops
     can never be traversed in vertex geography, and the matchers skip them.
     """
@@ -110,7 +110,7 @@ def solve_vgeo_undirected_normal(p: Position) -> tuple[Outcome, Policy | None]:
         raise ValueError("solve_vgeo_undirected_normal applies to vgeo positions")
     if p.graph.directed:
         raise NotApplicable("directed graph")
-    sub, relab = induced_subgraph(p.graph, set(range(p.graph.n)) - p.removed_vertices)
+    sub, relab = induced_subgraph(p.graph, range(p.graph.n))
     return _criterion(sub, relab, p.current, max_matching_general(sub), None)
 
 

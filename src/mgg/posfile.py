@@ -23,9 +23,9 @@ lines.  Every number is ASCII decimal digits with an optional leading
 and ``e`` lines than it holds, is rejected before any per-vertex or
 per-edge list is built.  Every error names its line; one at the end of
 the file names the line after the last.  Serialization is canonical: weight lines ascend
-by vertex and edge lines ascend lexicographically.  The format describes
-fresh positions only (no removed vertices or arcs), which is what
-reductions and counterexample bundles need.
+by vertex and edge lines ascend lexicographically.  A file holds every
+`Position`, a played one too: a position is a graph, a token and, for the
+nimg games, weights.
 """
 
 from __future__ import annotations
@@ -163,9 +163,7 @@ def parse_position(text: str) -> tuple[Position, Convention]:
 
 
 def serialize_position(p: Position, convention: Convention) -> str:
-    """Canonical text form of a fresh position (inverse of parse_position)."""
-    if p.removed_vertices or p.removed_edges:
-        raise ValueError("position files describe fresh positions only")
+    """Canonical text form of a position (inverse of parse_position)."""
     out = [
         FORMAT_HEADER,
         f"game {p.variant}",

@@ -221,41 +221,35 @@ class ReductionEntry:
             raise ValueError(f"reduction {self.name} takes {self.source_kind} graphs")
 
 
-def _fresh(p: Position) -> Position:
-    if p.removed_vertices or p.removed_edges:
-        raise ValueError("reductions take fresh positions")
-    return p
-
-
 REDUCTIONS: dict[str, ReductionEntry] = {
     "vgeo-dir": ReductionEntry(
         "vgeo-dir", VGEO, DIRECTED,
-        lambda p: reduce_vgeo_dir_misere(_fresh(p).graph, p.current),
+        lambda p: reduce_vgeo_dir_misere(p.graph, p.current),
         Grid(6, 10, 1, 500, all_starts=True),
     ),
     "vgeo-undir": ReductionEntry(
         "vgeo-undir", VGEO, DIRECTED,
-        lambda p: reduce_vgeo_dir_to_undir_misere(_fresh(p).graph, p.current),
+        lambda p: reduce_vgeo_dir_to_undir_misere(p.graph, p.current),
         Grid(4, 4, 1, 100),
     ),
     "egeo-dir": ReductionEntry(
         "egeo-dir", EGEO, DIRECTED,
-        lambda p: reduce_egeo_dir_misere(_fresh(p).graph, p.current),
+        lambda p: reduce_egeo_dir_misere(p.graph, p.current),
         Grid(5, 8, 1, 300),
     ),
     "egeo-undir": ReductionEntry(
         "egeo-undir", EGEO, UNDIRECTED,
-        lambda p: reduce_egeo_undir_misere(_fresh(p).graph, p.current),
+        lambda p: reduce_egeo_undir_misere(p.graph, p.current),
         Grid(5, 8, 1, 300),
     ),
     "nimg-rm": ReductionEntry(
         "nimg-rm", VGEO, DIRECTED,
-        lambda p: reduce_vgeo_dir_to_nimgrm_misere(_fresh(p).graph, p.current),
+        lambda p: reduce_vgeo_dir_to_nimgrm_misere(p.graph, p.current),
         Grid(4, 4, 1, 200),
     ),
     "nimg-mr": ReductionEntry(
         "nimg-mr", NIMG_MR, "any",
-        lambda p: reduce_nimgmr_normal_to_misere(_fresh(p).graph, p.weights, p.current),
+        lambda p: reduce_nimgmr_normal_to_misere(p.graph, p.weights, p.current),
         Grid(4, 4, 2, 300, loops="free"),
     ),
 }

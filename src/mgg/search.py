@@ -37,7 +37,10 @@ class SolveReport:
     outcome: Outcome | None
     principal_move: Move | None
     states_expanded: int
-    budget_exhausted: bool
+
+    @property
+    def budget_exhausted(self) -> bool:
+        return self.outcome is None
 
 
 class StrategyBreakdown(RuntimeError):
@@ -54,8 +57,8 @@ class Policy:
     StrategyBreakdown; it need not check that the move is legal, since the
     certifier (`mgg.arena.verify_strategy`) rejects an illegal one and the
     CLI asks only at an N position.  The answer must be a pure function of
-    that position: the certifier asks once per distinct position and reuses
-    the answer wherever that position recurs.
+    that position: the certifier asks once per distinct engine key and
+    reuses the answer wherever that key recurs.
     """
 
     choose: Callable[[int, Callable[[], Position]], Move]
@@ -128,17 +131,17 @@ def solve(p: Position, c: Convention, budget: int = DEFAULT_BUDGET) -> SolveRepo
 def solve_with_table(p: Position, c: Convention, budget: int = DEFAULT_BUDGET):
     """Like solve(), but also returns the transposition table for inspection.
 
-    Table keys come from the root engine, `_Engine(p).key`.
+    Table keys are those of the root engine, `_Engine(p)`.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
     engine = _root_engine(p)
-    root = engine.key(p)
+    root = engine.root
     mover_wins_terminal = c is Convention.MISERE
     win, expanded, table = _solve_packed(engine, root, mover_wins_terminal, budget)
     if win is None:
-        return SolveReport(None, None, expanded, True), table
+        return SolveReport(None, None, expanded), table
     principal = engine.first(root, lambda child: table.get(child) is False) if win else None
     outcome = Outcome.N if win else Outcome.P
-    return SolveReport(outcome, principal, expanded, False), table
+    return SolveReport(outcome, principal, expanded), table
 

@@ -2,9 +2,10 @@
 
 Everything here is deliberately naive: plain recursion, full enumeration.
 None of it shares code with the solvers under test: the move rules below
-read and rebuild `Position` fields directly, without the package's engine,
-and the matching references enumerate edge subsets and check a mate map
-against `Graph.edge_set`, without the package's matchers.
+read and rebuild `Position` fields directly, without the package's engine
+(a geography move rebuilds the graph that remains), and the matching
+references enumerate edge subsets and check a mate map against the edge
+list, without the package's matchers.
 """
 
 from __future__ import annotations
@@ -28,15 +29,8 @@ def legal_moves(p: Position) -> list[Move]:
     if p.variant == "nimg-mr":
         return [Move(v, k) for v in nbrs for k in range(p.weights[v])]
     if p.variant == "vgeo":
-        return [Move(v) for v in nbrs if v != cur and v not in p.removed_vertices]
-    return [Move(v) for v in nbrs if _arc(p, v) not in p.removed_edges]
-
-
-def _arc(p: Position, to: int) -> tuple[int, int]:
-    """The graph edge a geography token crosses from the current vertex."""
-    if p.graph.directed:
-        return (p.current, to)
-    return (min(p.current, to), max(p.current, to))
+        return [Move(v) for v in nbrs if v != cur]
+    return [Move(v) for v in nbrs]
 
 
 def apply_move(p: Position, m: Move) -> Position:
@@ -46,9 +40,13 @@ def apply_move(p: Position, m: Move) -> Position:
         weights = list(p.weights)
         weights[lowered] = m.k
         return replace(p, current=m.to, weights=tuple(weights))
-    if p.variant == "vgeo":
-        return replace(p, current=m.to, removed_vertices=p.removed_vertices | {p.current})
-    return replace(p, current=m.to, removed_edges=p.removed_edges | {_arc(p, m.to)})
+    g, cur = p.graph, p.current
+    if p.variant == "vgeo":  # the departed vertex loses every edge
+        edges = [e for e in g.edges if cur not in e]
+    else:  # the crossed edge goes
+        crossed = (cur, m.to) if g.directed else (min(cur, m.to), max(cur, m.to))
+        edges = [e for e in g.edges if e != crossed]
+    return replace(p, graph=Graph(g.n, tuple(edges), g.directed), current=m.to)
 
 
 def naive_outcome(p: Position, c: Convention) -> str:
@@ -163,8 +161,13 @@ def validate_matching(m: Matching, g: Graph) -> None:
             raise ValueError(f"mate map not symmetric at {u}<->{v}")
         if u == v:
             raise ValueError(f"vertex {u} matched to itself")
-        if (min(u, v), max(u, v)) not in g.edge_set:
+        if (min(u, v), max(u, v)) not in g.edges:
             raise ValueError(f"matched pair ({u},{v}) is not an edge")
+
+
+def pairs(m: Matching) -> int:
+    """The number of matched pairs in `m`."""
+    return sum(v is not None for v in m.mate) // 2
 
 
 def maximum_matchings(g: Graph) -> list[frozenset[tuple[int, int]]]:

@@ -305,7 +305,7 @@ def _hashed_policy(salt: int) -> Policy:
 
     def choose(cur, position):
         q = position()
-        h = hash((salt, _Engine(q).key(q)))
+        h = hash((salt, q.current, q.graph.edges, q.weights or ()))
         if h % 7 == 0:
             raise StrategyBreakdown("hashed breakdown")
         if h % 5 == 0:

@@ -83,6 +83,20 @@ e 1 2
 e 2 0
 """
 
+VGEO_C4 = """\
+mgg-pos 1
+game vgeo
+convention normal
+kind ugraph
+vertices 4
+edges 4
+start 0
+e 0 1
+e 1 2
+e 2 3
+e 0 3
+"""
+
 
 def test_solve_single_vertex(tmp_path, capsys):
     code = main(["solve", write(tmp_path, "p.pos", SINGLE)])
@@ -409,6 +423,20 @@ def test_play_full_game(tmp_path, capsys, monkeypatch):
     assert "illegal move" in out  # the 9 9 attempt was rejected and reprompted
     assert "engine plays: 0 0" in out
     assert "you win" in out
+
+
+def test_play_board_shows_the_graph_that_remains(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("1\n3\n"))
+    assert main(["play", write(tmp_path, "p.pos", VGEO_C4)]) == EXIT_OK
+    boards = [line for line in capsys.readouterr().out.splitlines()
+              if line.startswith(("vertices:", "edges:"))]
+    # a departed vertex keeps its id and loses every edge
+    assert boards == [
+        "vertices: 0* 1 2 3", "edges: 0-1 0-3 1-2 2-3",
+        "vertices: 0 1* 2 3", "edges: 1-2 2-3",
+        "vertices: 0 1 2* 3", "edges: 2-3",
+        "vertices: 0 1 2 3*", "edges: (none)",
+    ]
 
 
 def test_play_eof_is_input_error(tmp_path, capsys, monkeypatch):

@@ -22,7 +22,7 @@ from strategies import any_fresh_position, geo_positions
 def is_terminal(p):
     """Whether `p` has no move, from the engine's move bits alone."""
     engine = _Engine(p)
-    return not engine.move_bits(engine.key(p))
+    return not engine.move_bits(engine.root)
 
 
 def hub_position():
@@ -99,9 +99,9 @@ def test_vgeo_move_deletes_departed_vertex():
     g = build_graph("directed", 4, [(0, 1), (1, 2), (2, 0), (0, 3)])
     p = Position("vgeo", g, 0)
     q = apply_move(p, Move(1))
-    assert q.removed_vertices == frozenset({0})
+    assert q.graph.edges == ((1, 2),)  # vertex 0 and its edges are gone
     assert q.current == 1
-    assert q.graph.n == 4  # unreachable vertices stay in the container
+    assert q.graph.n == 4  # the departed vertex keeps its id, without an edge
     assert legal_moves(q) == [Move(2)]
     # returning to the deleted vertex is impossible
     r = apply_move(q, Move(2))
@@ -118,7 +118,7 @@ def test_egeo_directed_reverse_arc_survives():
     g = build_graph("directed", 2, [(0, 1), (1, 0)])
     p = Position("egeo", g, 0)
     q = apply_move(p, Move(1))
-    assert q.removed_edges == frozenset({(0, 1)})
+    assert q.graph.edges == ((1, 0),)
     assert legal_moves(q) == [Move(0)]  # straight back along the other arc
 
 
@@ -133,7 +133,7 @@ def test_egeo_loop_traversal():
     g = build_graph("undirected", 1, [(0, 0)])
     p = Position("egeo", g, 0)
     q = apply_move(p, Move(0))
-    assert q.removed_edges == frozenset({(0, 0)})
+    assert q.graph.edges == ()
     assert is_terminal(q)
 
 
@@ -191,8 +191,6 @@ def test_position_validation():
         Position("vgeo", g, 0, (1, 1))  # weights on a geography game
     with pytest.raises(ValueError):
         Position("nimg-rm", g, 0, (1, -1))
-    with pytest.raises(ValueError):
-        Position("vgeo", g, 0, removed_vertices=frozenset({0}))
 
 
 @settings(max_examples=150)
@@ -205,9 +203,9 @@ def test_moves_in_canonical_order(p):
 def _measure(p):
     if p.weights is not None:
         return sum(p.weights)
-    if p.variant == "vgeo":
-        return p.graph.n - len(p.removed_vertices)
-    return len(p.graph.edges) - len(p.removed_edges)
+    if p.variant == "vgeo":  # the vertices some edge touches
+        return len({v for e in p.graph.edges for v in e})
+    return len(p.graph.edges)
 
 
 def test_random_playouts_preserve_invariants():
@@ -229,19 +227,21 @@ def test_random_playouts_preserve_invariants():
         w = tuple(rng.randrange(0, 4) for _ in range(n)) if variant.startswith("nimg") else None
         p = Position(variant, g, rng.randrange(n), w)
         bound = _measure(p)
-        steps = 0
+        steps, departed = 0, set()
         while True:
             moves = legal_moves(p)
             if not moves:
                 break
             before = _measure(p)
+            departed.add(p.current)
             p = apply_move(p, rng.choice(moves))
             applied += 1
             steps += 1
             assert _measure(p) < before  # every move burns the finite measure
             if p.weights is not None:
                 assert min(p.weights) >= 0
-            assert p.current not in p.removed_vertices
+            if p.variant == "vgeo":  # no edge leads back to a departed vertex
+                assert not departed & {v for e in p.graph.edges for v in e}
         assert steps <= bound  # playout length is capped by the initial measure
 
 
@@ -249,7 +249,7 @@ def test_random_playouts_preserve_invariants():
 @given(geo_positions(variant="vgeo", max_n=5, directed=False))
 def test_undirected_vgeo_moves_are_symmetric(p):
     for m in legal_moves(p):
-        mirrored = Position(p.variant, p.graph, m.to, removed_vertices=p.removed_vertices)
+        mirrored = Position(p.variant, p.graph, m.to)
         assert Move(p.current) in legal_moves(mirrored)
 
 
@@ -257,5 +257,5 @@ def test_undirected_vgeo_moves_are_symmetric(p):
 @given(geo_positions(variant="egeo", max_n=5, directed=False))
 def test_undirected_egeo_moves_are_symmetric(p):
     for m in legal_moves(p):
-        mirrored = Position(p.variant, p.graph, m.to, removed_edges=p.removed_edges)
+        mirrored = Position(p.variant, p.graph, m.to)
         assert Move(p.current) in legal_moves(mirrored)

@@ -17,6 +17,7 @@ from oracles import (
     brute_force_matching_size,
     covered_by_all_oracle,
     maximum_matchings,
+    pairs,
     validate_matching,
 )
 from strategies import graphs
@@ -33,28 +34,28 @@ def petersen():
 
 def test_single_edge():
     g = build_graph("undirected", 2, [(0, 1)])
-    assert max_matching_bipartite(g, bipartition(g)).size == 1
-    assert max_matching_general(g).size == 1
+    assert pairs(max_matching_bipartite(g, bipartition(g))) == 1
+    assert pairs(max_matching_general(g)) == 1
     assert brute_force_matching_size(g) == 1
 
 
 def test_three_vertex_path():
     g = build_graph("undirected", 3, [(0, 1), (1, 2)])
-    assert max_matching_bipartite(g, bipartition(g)).size == 1
+    assert pairs(max_matching_bipartite(g, bipartition(g))) == 1
 
 
 def test_complete_bipartite_three_three():
     g = build_graph("undirected", 6, [(i, 3 + j) for i in range(3) for j in range(3)])
     assert brute_force_matching_size(g) == 3  # oracle first
-    assert max_matching_bipartite(g, bipartition(g)).size == 3
+    assert pairs(max_matching_bipartite(g, bipartition(g))) == 3
 
 
 def test_triangle_and_odd_cycles():
     tri = build_graph("undirected", 3, [(0, 1), (1, 2), (0, 2)])
-    assert max_matching_general(tri).size == 1
+    assert pairs(max_matching_general(tri)) == 1
     c5 = build_graph("undirected", 5, [(i, (i + 1) % 5) for i in range(5)])
     assert brute_force_matching_size(c5) == 2
-    assert max_matching_general(c5).size == 2
+    assert pairs(max_matching_general(c5)) == 2
 
 
 def test_two_triangles_with_bridge():
@@ -62,13 +63,13 @@ def test_two_triangles_with_bridge():
         "undirected", 6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
     )
     assert brute_force_matching_size(g) == 3
-    assert max_matching_general(g).size == 3
+    assert pairs(max_matching_general(g)) == 3
 
 
 def test_petersen():
     g = petersen()
     assert brute_force_matching_size(g) == 5
-    assert max_matching_general(g).size == 5
+    assert pairs(max_matching_general(g)) == 5
 
 
 def test_empty_graph_brute_force():
@@ -97,7 +98,7 @@ def test_bipartite_rejects_bad_bipartition():
 
 def test_loops_are_stripped():
     g = build_graph("undirected", 2, [(0, 0), (0, 1)])
-    assert max_matching_general(g).size == 1
+    assert pairs(max_matching_general(g)) == 1
     m = max_matching_general(g)
     assert m.mate[0] == 1 and m.mate[1] == 0
 
@@ -188,12 +189,12 @@ def test_matchers_agree_with_brute_force(g):
     expected = brute_force_matching_size(g)
     general = max_matching_general(g)
     validate_matching(general, g)
-    assert general.size == expected
+    assert pairs(general) == expected
     b = bipartition(g)
     if b is not None:
         hk = max_matching_bipartite(g, b)
         validate_matching(hk, g)
-        assert hk.size == expected
+        assert pairs(hk) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -204,7 +205,7 @@ def test_maximum_matchings_enumeration_consistency(g):
     if len(live) > 12:
         return
     best = maximum_matchings(g)
-    assert len(best[0]) == max_matching_general(g).size
+    assert len(best[0]) == pairs(max_matching_general(g))
 
 
 def test_phase_bound_on_random_graphs():

@@ -4,10 +4,14 @@ Code imports a name from the module that defines it, never through a
 module that merely imports it, and a bare `import mgg` loads the eight
 library modules that `perfbench/` reads from `sys.modules`, but not the CLI.
 The package holds only what the CLI and the benchmark use: every name it
-defines is used elsewhere in the package or named in `perfbench/`.
+defines is used elsewhere in the package or named in `perfbench/`, and
+every method or property of a package class is read as an attribute
+elsewhere in the package or as a `.name` in `perfbench/`, unless it is a
+dunder or overrides a base class.
 """
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -94,4 +98,30 @@ def test_every_package_name_is_used_in_the_package_or_the_benchmark():
         for name in sorted(_defined_by(node) - named):
             if not any(name in _used(other) for _, other in statements if other is not node):
                 unused.append(f"{path.relative_to(ROOT)}: {name}")
+    assert unused == []
+
+
+def test_every_package_method_is_used_in_the_package_or_the_benchmark():
+    trees = {path: ast.parse(path.read_text()) for path in sorted((SRC / "mgg").glob("*.py"))}
+    attributes = [n for tree in trees.values() for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute)]
+    bench = " ".join(path.read_text() for path in (ROOT / "perfbench").glob("*.py"))
+    unused = []
+    for path, tree in trees.items():
+        module = importlib.import_module(f"mgg.{path.stem}")
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            bases = getattr(module, cls.name).__mro__[1:]
+            for member in cls.body:
+                if not isinstance(member, ast.FunctionDef):
+                    continue
+                name = member.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                if any(hasattr(base, name) for base in bases):  # an override
+                    continue
+                if re.search(rf"\.{name}\b", bench):
+                    continue
+                inside = set(map(id, ast.walk(member)))
+                if not any(a.attr == name and id(a) not in inside for a in attributes):
+                    unused.append(f"{path.relative_to(ROOT)}: {cls.name}.{name}")
     assert unused == []

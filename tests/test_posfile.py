@@ -95,14 +95,16 @@ def test_geography_file_has_no_weight_lines():
         parse_position(text)
 
 
-def test_serialize_rejects_played_positions():
+def test_played_positions_round_trip():
     from mgg.graphs import build_graph
     from mgg.kernel import Move, Position, apply_move
 
-    g = build_graph("directed", 2, [(0, 1)])
-    played = apply_move(Position("vgeo", g, 0), Move(1))
-    with pytest.raises(ValueError, match="fresh"):
-        serialize_position(played, Convention.NORMAL)
+    cycle = build_graph("undirected", 4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    played = apply_move(apply_move(Position("vgeo", cycle, 0), Move(1)), Move(2))
+    text = serialize_position(played, Convention.NORMAL)
+    # the departed vertices 0 and 1 stay, without an edge
+    assert "vertices 4\nedges 1\nstart 2\ne 2 3\n" in text
+    assert parse_position(text) == (played, Convention.NORMAL)
 
 
 @pytest.mark.parametrize(

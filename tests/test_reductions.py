@@ -236,7 +236,7 @@ def test_nimgmr_preserves_loops_and_sizes():
     assert out.position.weights[: g.n] == (2, 1)
     for x in range(g.n):
         c1, c2, c3 = (out.name_map[f"{x}_c{i}"] for i in (1, 2, 3))
-        assert {(x, c1), (c1, c2), (c2, c3)} <= tgt.edge_set
+        assert {(x, c1), (c1, c2), (c2, c3)} <= set(tgt.edges)
         assert out.position.weights[c1] == out.position.weights[c2] == out.position.weights[c3] == 1
 
 

@@ -47,11 +47,13 @@ def test_principal_move_only_on_nonterminal_wins():
 
 def test_state_key_injective_on_weights():
     g = build_graph("undirected", 2, [(0, 1)])
-    a = Position("nimg-rm", g, 0, (1, 1))
-    b = Position("nimg-rm", g, 0, (1, 2))
-    assert _Engine(a).key(a) != _Engine(b).key(b)
-    with pytest.raises(ValueError):  # b's weight 2 overflows a's 1-bit fields
-        _Engine(a).key(b)
+    p = Position("nimg-rm", g, 0, (2, 2))
+    engine = _Engine(p)
+    # the children (0, 2) and (1, 2), both with the pointer on vertex 1
+    children = {engine.after(engine.root, m): apply_move(p, m) for m in legal_moves(p)}
+    assert len(children) == 2 and engine.root not in children
+    for key, q in children.items():
+        assert engine.position(key) == q
 
 
 def test_state_key_canonical_across_move_orders():
@@ -63,28 +65,40 @@ def test_state_key_canonical_across_move_orders():
             pos = apply_move(pos, Move(to, k))
         return pos
 
-    left_first = play(p, (0, 4), (1, 4), (2, 3), (1, 4))
-    right_first = play(p, (2, 4), (1, 4), (0, 3), (1, 4))
+    def key(engine, *moves):
+        k = engine.root
+        for move in moves:
+            k = engine.after(k, Move(*move))
+        return k
+
+    left, right = ((0, 4), (1, 4), (2, 3), (1, 4)), ((2, 4), (1, 4), (0, 3), (1, 4))
+    left_first, right_first = play(p, *left), play(p, *right)
     assert left_first == right_first
-    assert _Engine(left_first).key(left_first) == _Engine(right_first).key(right_first)
+    engine = _Engine(p)
+    assert key(engine, *left) == key(engine, *right)
+    assert engine.position(key(engine, *left)) == left_first
     # same endpoint through different deletions must not collide
     diamond = build_graph("undirected", 4, [(0, 1), (0, 2), (1, 3), (2, 3)])
     p2 = Position("vgeo", diamond, 0)
     via_one = apply_move(apply_move(p2, Move(1)), Move(3))
     via_two = apply_move(apply_move(p2, Move(2)), Move(3))
     assert via_one.current == via_two.current == 3
-    assert _Engine(via_one).key(via_one) != _Engine(via_two).key(via_two)
+    assert via_one != via_two
+    engine = _Engine(p2)
+    assert key(engine, (1,), (3,)) != key(engine, (2,), (3,))
 
 
 def test_state_key_ignores_removed_vertices():
     g = build_graph("directed", 3, [(0, 1), (1, 2)])
-    p = apply_move(Position("vgeo", g, 0), Move(1))
+    p = Position("vgeo", g, 0)
     engine = _Engine(p)
-    key = engine.key(p)
+    key = engine.after(engine.root, Move(1))
     mask, cur = key >> engine.sh, key & engine.cur_mask
     assert cur == 1
     assert mask == 0b110  # bit for the departed vertex is gone
-    assert engine.position(key) == p
+    # the decoded position is the graph that remains
+    assert engine.position(key) == apply_move(p, Move(1))
+    assert engine.position(key) == Position("vgeo", build_graph("directed", 3, [(1, 2)]), 1)
 
 
 def test_bitset_capacity_errors():
@@ -130,7 +144,7 @@ def _children(engine, key):
 @given(played_positions())
 def test_engine_moves_agree_with_kernel(p):
     engine = _Engine(p)
-    key = engine.key(p)
+    key = engine.root
     pairs = zip(engine.decode(key), _children(engine, key), strict=True)
     decoded = [(m, engine.position(k)) for m, k in pairs]
     expected = [(m, apply_move(p, m)) for m in legal_moves(p)]
@@ -141,7 +155,7 @@ def test_engine_moves_agree_with_kernel(p):
 @given(played_positions())
 def test_engine_move_decodes_each_bit(p):
     engine = _Engine(p)
-    key = engine.key(p)
+    key = engine.root
     bits = engine.move_bits(key)
     by_bit = [engine.move(key, i) for i in range(bits.bit_length()) if bits >> i & 1]
     assert by_bit == legal_moves(p)
@@ -208,17 +222,19 @@ def test_convention_flips_terminals_and_nothing_else(p):
     assert (solve(p, NORM).outcome is Outcome.N) == valued(p, False)
 
 
-def _reachable_positions(p, key, cap=4000):
-    seen = {key(p): p}
-    frontier = [p]
+def _reachable_positions(engine, p, cap=4000):
+    """Key -> oracle position from the engine's root position `p`, stepping
+    each key with `engine.after` along the oracle's moves."""
+    seen = {engine.root: p}
+    frontier = [engine.root]
     while frontier:
-        q = frontier.pop()
+        key = frontier.pop()
+        q = seen[key]
         for m in legal_moves(q):
-            r = apply_move(q, m)
-            k = key(r)
+            k = engine.after(key, m)
             if k not in seen:
-                seen[k] = r
-                frontier.append(r)
+                seen[k] = apply_move(q, m)
+                frontier.append(k)
                 if len(seen) >= cap:
                     return seen
     return seen
@@ -230,12 +246,12 @@ def test_memo_entries_satisfy_outcome_recursion():
     p = Position("nimg-rm", g, 0, (2, 2, 2, 2, 2))
     report, table = solve_with_table(p, MIS)
     assert report.outcome is not None
-    root_key = _Engine(p).key  # table keys come from the root's engine
-    reachable = _reachable_positions(p, root_key)
+    engine = _Engine(p)  # table keys come from the root's engine
+    reachable = _reachable_positions(engine, p)
     keys = [k for k in table if k in reachable]
     for key in rng.sample(keys, min(1000, len(keys))):
         pos = reachable[key]
-        children = [root_key(apply_move(pos, m)) for m in legal_moves(pos)]
+        children = [engine.after(key, m) for m in legal_moves(pos)]
         solved = [table[c] for c in children if c in table]
         if not children:  # misere terminal: the mover wins
             assert table[key] is True
@@ -280,10 +296,10 @@ def test_engine_tables_satisfy_negamax_recursion(p, conv):
     engine = _Engine(p)
     report, table = solve_with_table(p, conv)
     assert report.outcome is not None
-    assert table[engine.key(p)] is (report.outcome is Outcome.N)
+    assert table[engine.root] is (report.outcome is Outcome.N)
     for key, win in table.items():
         pos = engine.position(key)
-        children = [table.get(engine.key(apply_move(pos, m))) for m in legal_moves(pos)]
+        children = [table.get(engine.after(key, m)) for m in legal_moves(pos)]
         if not children:  # the stuck mover wins exactly under misere
             assert win is (conv is MIS)
         elif win:  # a win must exhibit a losing child
@@ -294,15 +310,17 @@ def test_engine_tables_satisfy_negamax_recursion(p, conv):
 
 @settings(max_examples=200, deadline=None)
 @given(played_positions())
-def test_engine_keys_round_trip(p):
+def test_engine_children_decode_to_oracle_children(p):
     engine = _Engine(p)
-    root = engine.key(p)
+    root = engine.root
     assert engine.position(root) == p
     seen, frontier = {root}, [root]
     while frontier and len(seen) < 2000:
         key = frontier.pop()
-        assert engine.key(engine.position(key)) == key
-        for c in _children(engine, key):
+        parent, children = engine.position(key), _children(engine, key)
+        expected = [apply_move(parent, m) for m in legal_moves(parent)]
+        assert [engine.position(c) for c in children] == expected
+        for c in children:
             if c not in seen:
                 seen.add(c)
                 frontier.append(c)
