@@ -8,7 +8,6 @@ pure, so graphs can be shared freely between concurrent solver runs.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -119,40 +118,21 @@ def bipartition(g: Graph) -> Bipartition | None:
     )
 
 
-@dataclass(frozen=True)
-class Relabeling:
-    """Dense relabeling produced by induced_subgraph.
+def induced_subgraph(g: Graph, keep) -> Graph:
+    """The graph on the same vertex ids with only the edges inside `keep`.
 
-    ``old_ids[new] -> old``, ascending, translates solver moves back to the
-    source graph; ``to_new`` goes the other way by bisection.
+    A vertex outside `keep` stays, with no edge, so every id still names
+    the same vertex.  Keeping every vertex returns `g` itself.
     """
-
-    old_ids: tuple[int, ...]
-
-    def to_new(self, v: int) -> int:
-        """New id of kept vertex `v`; KeyError if `v` was not kept."""
-        i = bisect_left(self.old_ids, v)
-        if i == len(self.old_ids) or self.old_ids[i] != v:
-            raise KeyError(v)
-        return i
-
-
-def induced_subgraph(g: Graph, keep) -> tuple[Graph, Relabeling]:
-    """Subgraph on `keep`, relabelled to dense ids in ascending old-id order.
-
-    Keeping every vertex returns `g` itself.
-    """
-    kept = sorted(set(keep))
-    if kept and not (0 <= kept[0] and kept[-1] < g.n):
-        raise ValueError("keep set contains vertices outside the graph")
-    relab = Relabeling(tuple(kept))
-    if len(kept) == g.n:  # every vertex: the identity relabelling of g itself
-        return g, relab
-    new = [-1] * g.n
-    for i, old in enumerate(kept):
-        new[old] = i
-    edges = [(new[u], new[v]) for u, v in g.edges if new[u] >= 0 and new[v] >= 0]
-    return Graph(len(kept), tuple(edges), g.directed), relab
+    kept = [False] * g.n
+    for v in keep:
+        if not 0 <= v < g.n:
+            raise ValueError("keep set contains vertices outside the graph")
+        kept[v] = True
+    if all(kept):
+        return g
+    edges = [(u, v) for u, v in g.edges if kept[u] and kept[v]]
+    return Graph(g.n, tuple(edges), g.directed)
 
 
 def connected_component(g: Graph, u: int) -> set[int]:

@@ -12,7 +12,7 @@ caller's maximum matching and one more blossom search, rooted at u's mate in
 G - u (`covered_by_all_maximum_matchings`), so a solver computes one maximum
 matching and uses it for both its criterion and its policy.  The general
 matcher and the coverage query share `find_augmenting_path`: a blossom
-contraction relabels the members of the blossom only, not every vertex, so
+contraction rebases the members of the blossom only, not every vertex, so
 a search costs in proportion to the tree it grows.
 
 Every matcher reads the graph's own `Graph.adjacency`.  A loop can never
@@ -156,7 +156,7 @@ def find_augmenting_path(
     p(end), ..., root]``, where flipping each pair ``(path[2i],
     path[2i+1])`` to matched augments `match`, or None when no augmenting
     path starts at `root`.  `match` is not modified.  A contraction
-    relabels only the members of the blossom it contracts, in ascending id
+    rebases only the members of the blossom it contracts, in ascending id
     order.
     """
     n = len(adj)
@@ -237,7 +237,7 @@ def max_matching_general(g: Graph) -> Matching:
                     match[v] = u
                     break
     for root in range(g.n):
-        if match[root] < 0:
+        if match[root] < 0 and adj[root]:  # an isolated root has no path
             path = find_augmenting_path(adj, match, root) or ()
             for a, b in zip(path[::2], path[1::2]):
                 match[a] = b

@@ -15,11 +15,12 @@ Covered classes, all returning (outcome, winning policy or None):
   on a single token the game restricts to the light component around the
   start and reduces to the weight-one case.
 
-All four apply one criterion path: each induces one subgraph, computes one
-maximum matching of it, and one coverage query gives the outcome.  For the
-other three, `_criterion` also builds the winning policy, which `_follow`s
-the matching in original ids; the loops solver builds its own.
-The matchers skip loops, so no subgraph needs its loops stripped.
+All four apply one criterion path: one maximum matching of the position's
+graph, or of the subgraph the bipartite and loops solvers induce on its
+vertex ids, and one coverage query gives the outcome.  For the other three,
+`_criterion` also builds the winning policy, which `_follow`s the matching
+in the position's own ids; the loops solver builds its own.  The matchers
+skip loops, so no subgraph needs its loops stripped.
 
 `poly_solve` routes a position to the strongest applicable solver.  Inputs
 outside a solver's class raise NotApplicable so callers can fall back to the
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .graphs import Graph, Relabeling, bipartition, induced_subgraph
+from .graphs import Graph, bipartition, induced_subgraph
 from .kernel import NIMG_RM, VGEO, Convention, Move, Position
 from .matching import (
     Matching,
@@ -45,8 +46,10 @@ class NotApplicable(Exception):
     """The position lies outside this solver's precondition class."""
 
 
-def preprocess_positive(p: Position):
-    """Restrict to the vertices holding at least one token.
+def preprocess_positive(p: Position) -> Position:
+    """Keep only the edges between vertices holding at least one token.
+
+    The ids, weights and start stay; a vertex without tokens keeps no edge.
 
     Outcome-preserving under misere play, with one documented corner: when
     the start keeps tokens but loses its last neighbour, the induced game
@@ -57,40 +60,37 @@ def preprocess_positive(p: Position):
         raise ValueError("preprocess_positive applies to nimg-rm positions")
     if p.weights[p.current] == 0:
         raise ValueError("start vertex holds no token: the position is terminal")
-    keep = {v for v, w in enumerate(p.weights) if w >= 1}
-    sub, relab = induced_subgraph(p.graph, keep)
-    weights = tuple(p.weights[old] for old in relab.old_ids)
-    return Position(NIMG_RM, sub, relab.to_new(p.current), weights), relab
+    keep = [v for v, w in enumerate(p.weights) if w >= 1]
+    return Position(NIMG_RM, induced_subgraph(p.graph, keep), p.current, p.weights)
 
 
-def _criterion(sub: Graph, relab: Relabeling, vertex: int, matching: Matching,
+def _criterion(sub: Graph, vertex: int, matching: Matching,
                k: int | None = 0) -> tuple[Outcome, Policy | None]:
     """(outcome, winning policy or None) of the matching criterion.
 
     The mover wins iff every maximum matching of `sub` covers `vertex`.
-    `sub` is induced by `relab`, `matching` is one of its maximum
-    matchings, and `vertex` uses the original ids.
+    `sub` is the position's graph or a subgraph on its vertex ids, and
+    `matching` is one of its maximum matchings.
     """
-    if not covered_by_all_maximum_matchings(sub, relab.to_new(vertex), matching):
+    if not covered_by_all_maximum_matchings(sub, vertex, matching):
         return Outcome.P, None
-    return Outcome.N, Policy(_follow(relab, matching, k), "matching-following")
+    return Outcome.N, Policy(_follow(matching, k), "matching-following")
 
 
-def _follow(relab: Relabeling, matching: Matching, k: int | None = 0):
+def _follow(matching: Matching, k: int | None = 0):
     """The choose that moves to the current vertex's mate, leaving `k` tokens.
 
-    `matching` is a matching of the subgraph induced by `relab`.  It reads
-    only the current vertex and never asks for the position.  Each vertex's
-    `Move` is built on its first use and returned from then on.
+    `matching` is on the position's own vertex ids.  It reads only the
+    current vertex and never asks for the position.  Each vertex's `Move`
+    is built on its first use and returned from then on.
     """
-    old = relab.old_ids
-    mate = {old[u]: old[v] for u, v in enumerate(matching.mate) if v is not None}
+    mate = matching.mate
     moves: dict[int, Move] = {}
 
     def choose(current: int, position: Callable[[], Position]) -> Move:
         move = moves.get(current)
         if move is None:
-            to = mate.get(current)
+            to = mate[current]
             if to is None:
                 raise StrategyBreakdown(f"current vertex {current} is unmatched")
             move = moves[current] = Move(to, k)
@@ -110,8 +110,7 @@ def solve_vgeo_undirected_normal(p: Position) -> tuple[Outcome, Policy | None]:
         raise ValueError("solve_vgeo_undirected_normal applies to vgeo positions")
     if p.graph.directed:
         raise NotApplicable("directed graph")
-    sub, relab = induced_subgraph(p.graph, range(p.graph.n))
-    return _criterion(sub, relab, p.current, max_matching_general(sub), None)
+    return _criterion(p.graph, p.current, max_matching_general(p.graph), None)
 
 
 def solve_weight1_rm_misere(p: Position) -> tuple[Outcome, Policy | None]:
@@ -129,8 +128,7 @@ def solve_weight1_rm_misere(p: Position) -> tuple[Outcome, Policy | None]:
         raise NotApplicable("loops present")
     if any(w != 1 for w in p.weights):
         raise NotApplicable("weights must all equal one")
-    sub, relab = induced_subgraph(p.graph, range(p.graph.n))
-    return _criterion(sub, relab, p.current, max_matching_general(sub))
+    return _criterion(p.graph, p.current, max_matching_general(p.graph))
 
 
 def _degenerate_pile(p: Position) -> tuple[Outcome, Policy | None]:
@@ -159,7 +157,7 @@ def solve_bipartite_rm_misere(p: Position) -> tuple[Outcome, Policy | None]:
         raise NotApplicable("directed graph")
     if p.weights[p.current] == 0:
         raise NotApplicable("start vertex holds no token")
-    sub, relab = induced_subgraph(p.graph, [v for v, w in enumerate(p.weights) if w])
+    sub = induced_subgraph(p.graph, [v for v, w in enumerate(p.weights) if w])
     if sub.loop_vertices:
         raise NotApplicable("loops present")
     b = bipartition(sub)
@@ -167,14 +165,15 @@ def solve_bipartite_rm_misere(p: Position) -> tuple[Outcome, Policy | None]:
         raise NotApplicable("graph is not bipartite")
     if not p.graph.adjacency[p.current]:
         return _degenerate_pile(p)
-    return _criterion(sub, relab, p.current, max_matching_bipartite(sub, b))
+    return _criterion(sub, p.current, max_matching_bipartite(sub, b))
 
 
 def _light_matching(g: Graph, weights, vertex: int):
-    """(subgraph, relabeling, maximum matching) of the light component.
+    """(subgraph, maximum matching) of the light component, on `g`'s ids.
 
     The light component is the connected component of `vertex`, which holds
-    one token, among the vertices holding exactly one token.
+    one token, among the vertices holding exactly one token.  The subgraph
+    keeps every vertex of `g` and only the edges inside the component.
     """
     comp, stack = {vertex}, [vertex]
     while stack:
@@ -182,16 +181,16 @@ def _light_matching(g: Graph, weights, vertex: int):
             if weights[v] == 1 and v not in comp:
                 comp.add(v)
                 stack.append(v)
-    sub, relab = induced_subgraph(g, comp)
-    return sub, relab, max_matching_general(sub)
+    sub = induced_subgraph(g, comp)
+    return sub, max_matching_general(sub)
 
 
 def _loops_outcome(g: Graph, weights, vertex: int) -> Outcome:
     """Outcome of the all-loops game with the pointer on `vertex`."""
     if weights[vertex] != 1:
         return Outcome.N  # no token: the mover has won; two or more: stall
-    sub, relab, matching = _light_matching(g, weights, vertex)
-    covered = covered_by_all_maximum_matchings(sub, relab.to_new(vertex), matching)
+    sub, matching = _light_matching(g, weights, vertex)
+    covered = covered_by_all_maximum_matchings(sub, vertex, matching)
     return Outcome.N if covered else Outcome.P
 
 
@@ -221,8 +220,8 @@ def solve_loops_rm_misere(p: Position) -> tuple[Outcome, Policy | None]:
         q = position()
         g, w = q.graph, q.weights
         if w[current] == 1:  # the weight-one game on the light component
-            _, relab, matching = _light_matching(g, w, current)
-            return _follow(relab, matching)(current, position)
+            _, matching = _light_matching(g, w, current)
+            return _follow(matching)(current, position)
         drained = w[:current] + (0,) + w[current + 1:]
         for v in g.adjacency[current]:
             # Move(v, 0) leads to the opponent on v with `drained`

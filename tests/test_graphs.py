@@ -100,19 +100,19 @@ def test_bipartition_iff_no_odd_closed_walk(g):
 
 def test_induced_identity():
     g = build_graph("undirected", 3, [(0, 1), (1, 2)])
-    sub, relab = induced_subgraph(g, range(3))
+    sub = induced_subgraph(g, range(3))
     assert sub is g  # no copy of the same graph
-    assert relab.old_ids == (0, 1, 2)
 
 
 def test_induced_triangle_pair():
     g = build_graph("undirected", 3, [(0, 1), (1, 2), (0, 2)])
-    sub, relab = induced_subgraph(g, {0, 1})
-    assert sub.n == 2
+    sub = induced_subgraph(g, {0, 1})
+    assert sub.n == 3  # the same ids: vertex 2 stays, with no edge
     assert sub.edges == ((0, 1),)
-    assert relab.to_new(1) == 1
-    with pytest.raises(KeyError):
-        relab.to_new(2)  # not kept
+    assert sub.adjacency[2] == ()
+    for keep in ([0, 3], [-1]):
+        with pytest.raises(ValueError, match="outside"):
+            induced_subgraph(g, keep)
 
 
 def test_induced_gadget_minus_entry():
@@ -125,12 +125,12 @@ def test_induced_gadget_minus_entry():
     weights = list(out.position.weights)
     weights[out.name_map["X_0"]] = 0
     keep = {v for v, w in enumerate(weights) if w > 0}
-    sub, relab = induced_subgraph(g, keep)
-    assert sub.n == g.n - 1
-    assert out.name_map["X_0"] not in relab.old_ids
+    sub = induced_subgraph(g, keep)
+    assert sub.n == g.n
+    assert sub.adjacency[out.name_map["X_0"]] == ()
     # the gadget chain a-b-c-d and the exit edge survive intact
     a, b = out.name_map["a_(0,1)"], out.name_map["b_(0,1)"]
-    assert (relab.to_new(a), relab.to_new(b)) in sub.edges
+    assert _edge(a, b) in sub.edges
 
 
 def _edge(u, v):
@@ -142,15 +142,17 @@ def _edge(u, v):
 @given(graphs(max_n=7, allow_loops=True), st.data())
 def test_induced_preserves_adjacency(g, data):
     keep = data.draw(st.sets(st.integers(0, g.n - 1)))
-    sub, relab = induced_subgraph(g, keep)
+    sub = induced_subgraph(g, keep)
+    assert sub.n == g.n
+    if len(keep) == g.n:
+        assert sub is g
     sub_edges, g_edges = set(sub.edges), set(g.edges)
-    for u in keep:
-        for v in keep:
-            lhs = _edge(relab.to_new(u), relab.to_new(v)) in sub_edges
-            assert lhs == (_edge(u, v) in g_edges)
+    for u in range(g.n):
+        for v in range(g.n):
+            lhs = _edge(u, v) in sub_edges
+            assert lhs == (u in keep and v in keep and _edge(u, v) in g_edges)
     for u in set(range(g.n)) - keep:
-        with pytest.raises(KeyError):
-            relab.to_new(u)
+        assert sub.adjacency[u] == ()
 
 
 def test_component_isolated():

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from mgg.graphs import Bipartition, bipartition, build_graph
+from mgg.graphs import Bipartition, Graph, bipartition, build_graph, induced_subgraph
 from mgg.matching import (
     Matching,
     covered_by_all_maximum_matchings,
@@ -18,6 +18,7 @@ from oracles import (
     covered_by_all_oracle,
     maximum_matchings,
     pairs,
+    random_connected_bipartite,
     validate_matching,
 )
 from strategies import graphs
@@ -219,3 +220,46 @@ def test_phase_bound_on_random_graphs():
         b = bipartition(g)
         _, phases = max_matching_bipartite_with_phases(g, b)
         assert phases <= 2 * math.isqrt(n) + 2
+
+
+def test_isolated_roots_start_no_search(monkeypatch):
+    # an exposed vertex without an edge has no augmenting path, so the
+    # general matcher starts no blossom search there: the vertices an
+    # induced subgraph leaves without edges cost no O(n) search each
+    import mgg.matching as matching
+
+    roots = []
+
+    def counted(adj, match, root, *args, _orig=matching.find_augmenting_path):
+        roots.append(root)
+        return _orig(adj, match, root, *args)
+
+    monkeypatch.setattr(matching, "find_augmenting_path", counted)
+    m = max_matching_general(Graph(2000, ((0, 1),)))
+    assert roots == []
+    assert m.mate[:3] == (1, 0, None)
+
+
+def test_isolated_vertices_add_no_phase():
+    # an induced subgraph keeps the dropped vertices as isolated ones; on the
+    # dense copy of the kept vertices Hopcroft-Karp runs the same phases and
+    # pairs the same vertices, so the phase gate measures the same search
+    rng = random.Random(17)
+    most_phases = 0
+    for _ in range(400):
+        g = random_connected_bipartite(rng.randrange(2, 40), rng)
+        keep = [v for v in range(g.n) if rng.random() >= 0.3]
+        sub = induced_subgraph(g, keep)
+        new = {v: i for i, v in enumerate(keep)}
+        dense = build_graph("undirected", len(keep),
+                            [(new[u], new[v]) for u, v in sub.edges])
+        m, phases = max_matching_bipartite_with_phases(sub, bipartition(sub))
+        dm, dense_phases = max_matching_bipartite_with_phases(dense, bipartition(dense))
+        assert dense_phases == phases
+        mapped = [None] * g.n
+        for u, v in enumerate(dm.mate):
+            if v is not None:
+                mapped[keep[u]] = keep[v]
+        assert m.mate == tuple(mapped)
+        most_phases = max(most_phases, phases)
+    assert most_phases >= 2
