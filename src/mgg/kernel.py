@@ -15,8 +15,11 @@ Four variants share one interface:
 One terminal rule covers all four games: a player with no legal move loses
 under the normal convention and wins under misere.
 
-The rules are written once, in the ``_*_rules`` closures of `_Engine`,
-which packs every position reachable from a root into one int,
+The rules are written twice, on purpose.  `legal_moves` and `apply_move`
+are the reference rules: they read and rebuild a `Position`'s own fields
+and share no code with `_Engine`, so the engine can be checked against
+them.  The ``_*_rules`` closures of `_Engine` are the fast form: the
+engine packs every position reachable from a root into one int,
 ``payload << SH | cur`` with ``SH = max(1, (n-1).bit_length())`` bits for
 the token:
 
@@ -26,16 +29,15 @@ the token:
   ``B*v``, where ``B`` is the bit length of the root's largest weight
   (weights only decrease, so every descendant fits).
 
-Each variant gives five closures: ``move_bits(key)``, an int whose set bits
+Each variant gives four closures: ``move_bits(key)``, an int whose set bits
 are the legal moves, lowest bit canonically first (the destination for
 vgeo, the arc index for egeo, ``j << B | k`` for the j-th target and new
 weight ``k`` for nimg); ``child(key, bit)``, the key one move leads to;
-``decode(key)``, the legal `Move`s in canonical order;
 ``encode(key, move)``, the move's bit index, or None when no move of that
 shape exists; and ``move(key, i)``, the `Move` of bit index ``i``.
 The solver in `mgg.search`, the certifier in `mgg.arena` and `mgg play`
-each walk one engine from their root; `legal_moves` and `apply_move` are
-views over a fresh engine rooted at their position.
+each walk one engine from their root; the tests check the engine against
+the reference rules.
 
 A position holds no history: a played geography position is the fresh
 position on the graph that remains, with the same vertex ids.  In vgeo the
@@ -127,17 +129,13 @@ def _vgeo_rules(e: _Engine):
     def child(key, bit):
         return key - drop[key & cm] + bit.bit_length() - 1
 
-    def decode(key):
-        bits = move_bits(key)
-        return [Move(v) for v in adj[key & cm] if bits >> v & 1]
-
     def encode(key, m):
         return m.to if m.k is None and m.to >= 0 else None
 
     def move(key, i):
         return Move(i)
 
-    return move_bits, child, decode, encode, move
+    return move_bits, child, encode, move
 
 
 def _egeo_rules(e: _Engine):
@@ -161,15 +159,6 @@ def _egeo_rules(e: _Engine):
     def child(key, bit):
         return key - (bit << sh) + ends[bit.bit_length() - 1] - 2 * (key & cm)
 
-    def decode(key):
-        # at most deg(cur) bits are set, so taking them one at a time is cheap
-        rem, moves = move_bits(key), []
-        while rem:
-            bit = rem & -rem
-            moves.append(move(key, bit.bit_length() - 1))
-            rem ^= bit
-        return moves
-
     def encode(key, m):
         cur = key & cm
         arc = (cur, m.to) if g.directed else (min(cur, m.to), max(cur, m.to))
@@ -179,20 +168,13 @@ def _egeo_rules(e: _Engine):
     def move(key, i):
         return Move(ends[i] - (key & cm))
 
-    return move_bits, child, decode, encode, move
+    return move_bits, child, encode, move
 
 
-def _nimg_labels(e: _Engine, targets, move_bits):
-    """decode, encode and move for the nimg bit ``j << B | k``: target j, weight k."""
+def _nimg_labels(e: _Engine, targets):
+    """encode and move for the nimg bit ``j << B | k``: target j, weight k."""
     b, cm = e.field, e.cur_mask
     stride = 1 << b
-    segment = (1 << stride) - 1
-
-    def decode(key):
-        bits = move_bits(key)
-        # a target's segment of bits is a prefix of ones, one per weight k < w
-        return [Move(t, k) for j, t in enumerate(targets[key & cm])
-                for k in range((bits >> j * stride & segment).bit_length())]
 
     def encode(key, m):
         ts = targets[key & cm]
@@ -204,7 +186,7 @@ def _nimg_labels(e: _Engine, targets, move_bits):
     def move(key, i):
         return Move(targets[key & cm][i >> b], i & (stride - 1))
 
-    return decode, encode, move
+    return encode, move
 
 
 def _nimg_rm_rules(e: _Engine):
@@ -227,7 +209,7 @@ def _nimg_rm_rules(e: _Engine):
         o = off[cur]
         return key - (((key >> o & fm) - (i & fm)) << o) - cur + targets[cur][i >> b]
 
-    return (move_bits, child) + _nimg_labels(e, targets, move_bits)
+    return (move_bits, child) + _nimg_labels(e, targets)
 
 
 def _nimg_mr_rules(e: _Engine):
@@ -251,7 +233,7 @@ def _nimg_mr_rules(e: _Engine):
         o = off[v]
         return key - (((key >> o & fm) - (i & fm)) << o) - cur + v
 
-    return (move_bits, child) + _nimg_labels(e, adj, move_bits)
+    return (move_bits, child) + _nimg_labels(e, adj)
 
 
 _RULES = {VGEO: _vgeo_rules, EGEO: _egeo_rules, NIMG_RM: _nimg_rm_rules, NIMG_MR: _nimg_mr_rules}
@@ -264,8 +246,8 @@ class _Engine:
     key is `root`, and `position` decodes any of them.  The only
     cap here is `MOVE_BITS_CAP` on nimg roots, checked before any move bits
     exist; the solver's bitset contract is enforced by `mgg.search`, so the
-    strategy certifier, `mgg play` and the views can walk geography
-    positions of any size.  The solver and the certifier
+    strategy certifier and `mgg play` can walk geography positions of any
+    size.  The solver and the certifier
     (`mgg.arena.verify_strategy`) walk children by popping `move_bits`
     lowest first into `child`; the certifier checks a policy's move with
     `encode` against the same bits, and decodes a `position` only when a
@@ -290,8 +272,7 @@ class _Engine:
         else:  # every vertex (vgeo) or arc (egeo) of a position is live
             payload = (1 << (g.n if root.variant == VGEO else len(g.edges))) - 1
         self.root = payload << sh | root.current
-        self.move_bits, self.child, self.decode, self.encode, self.move = (
-            _RULES[root.variant](self))
+        self.move_bits, self.child, self.encode, self.move = _RULES[root.variant](self)
 
     def first(self, key: int, wins=None) -> Move | None:
         """Canonically first move whose child key satisfies `wins` (any move
@@ -330,11 +311,36 @@ class _Engine:
 
 def legal_moves(p: Position) -> list[Move]:
     """All legal moves, in canonical order (ascending destination, then k)."""
-    e = _Engine(p)
-    return e.decode(e.root)
+    g, cur = p.graph, p.current
+    nbrs = g.adjacency[cur]
+    if p.variant == NIMG_RM:  # with no neighbour at all the pointer stays put
+        return [Move(v, k) for v in nbrs or (cur,) for k in range(p.weights[cur])]
+    if p.variant == NIMG_MR:
+        return [Move(v, k) for v in nbrs for k in range(p.weights[v])]
+    if p.variant == VGEO:  # a loop is no move
+        return [Move(v) for v in nbrs if v != cur]
+    return [Move(v) for v in nbrs]
 
 
 def apply_move(p: Position, m: Move) -> Position:
-    """New position after `m`; raises IllegalMoveError on contract violation."""
-    e = _Engine(p)
-    return e.position(e.after(e.root, m))
+    """The position after `m`; IllegalMoveError unless `m` is one of
+    `legal_moves(p)`.  The check reads the move's shape against the
+    position and never lists the moves."""
+    g, cur, to = p.graph, p.current, m.to
+    nbrs = g.adjacency[cur]
+    if p.variant in NIMG_VARIANTS:
+        lowered = cur if p.variant == NIMG_RM else to
+        if p.variant == NIMG_RM:
+            nbrs = nbrs or (cur,)
+        if m.k is None or to not in nbrs or not 0 <= m.k < p.weights[lowered]:
+            raise IllegalMoveError(f"illegal {p.variant} move {m}")
+        w = p.weights
+        return Position(p.variant, g, to, w[:lowered] + (m.k,) + w[lowered + 1:])
+    if m.k is not None or to not in nbrs or p.variant == VGEO and to == cur:
+        raise IllegalMoveError(f"illegal {p.variant} move {m}")
+    if p.variant == VGEO:  # the departed vertex loses every edge
+        edges = [e for e in g.edges if cur not in e]
+    else:  # the crossed arc goes
+        crossed = (cur, to) if g.directed else (min(cur, to), max(cur, to))
+        edges = [e for e in g.edges if e != crossed]
+    return Position(p.variant, Graph(g.n, tuple(edges), g.directed), to)

@@ -245,12 +245,12 @@ def max_matching_general(g: Graph) -> Matching:
     return Matching(_mate_array(match))
 
 
-def covered_by_all_maximum_matchings(g: Graph, u: int, matching: Matching | None = None) -> bool:
+def covered_by_all_maximum_matchings(g: Graph, u: int, matching: Matching) -> bool:
     """True iff every maximum matching of `g` covers u, i.e. nu(G - u) < nu(G).
 
-    `matching` is a maximum matching M of `g`, by default
-    `max_matching_general(g)`; the answer needs no second one.  If M misses
-    u, the answer is False.  Otherwise let u' be u's mate and M' = M - uu',
+    `matching` is a maximum matching M of `g` that the caller computed;
+    the answer needs no second one.  If M misses u, the answer is False.
+    Otherwise let u' be u's mate and M' = M - uu',
     a matching of G - u of size nu(G) - 1.  Since nu(G - u) >= nu(G) - 1, u
     is covered by every maximum matching iff M' is maximum in G - u, iff
     (Berge) G - u has no M'-augmenting path.  The vertices M' leaves exposed
@@ -265,8 +265,6 @@ def covered_by_all_maximum_matchings(g: Graph, u: int, matching: Matching | None
     _require_undirected(g)
     if not 0 <= u < g.n:
         raise ValueError(f"vertex {u} outside graph")
-    if matching is None:
-        matching = max_matching_general(g)
     mate = matching.mate[u]
     if mate is None:
         return False

@@ -145,11 +145,12 @@ def _degenerate_pile(p: Position) -> tuple[Outcome, Policy | None]:
 def solve_bipartite_rm_misere(p: Position) -> tuple[Outcome, Policy | None]:
     """Misere remove-then-move Nim on a bipartite loop-free graph.
 
-    After restricting to token-bearing vertices, the mover wins iff both
-    maximum matching sizes nu(G) and nu(G - start) differ; the winning policy
-    removes every token on the current vertex and moves along a fixed maximum
-    matching.  A start vertex without any incident edge degenerates to a
-    single Nim pile and is decided directly, after the class checks.
+    On the token-bearing subgraph (`preprocess_positive`) the mover wins
+    iff the maximum matching sizes nu(G) and nu(G - start) differ; the
+    winning policy removes every token on the current vertex and moves
+    along a fixed maximum matching.  A start vertex without any incident
+    edge degenerates to a single Nim pile and is decided directly, after
+    the class checks.
     """
     if p.variant != NIMG_RM:
         raise ValueError("solve_bipartite_rm_misere applies to nimg-rm positions")
@@ -157,7 +158,7 @@ def solve_bipartite_rm_misere(p: Position) -> tuple[Outcome, Policy | None]:
         raise NotApplicable("directed graph")
     if p.weights[p.current] == 0:
         raise NotApplicable("start vertex holds no token")
-    sub = induced_subgraph(p.graph, [v for v, w in enumerate(p.weights) if w])
+    sub = preprocess_positive(p).graph
     if sub.loop_vertices:
         raise NotApplicable("loops present")
     b = bipartition(sub)

@@ -1,52 +1,21 @@
 """Independent reference implementations the tests check the package against.
 
 Everything here is deliberately naive: plain recursion, full enumeration.
-None of it shares code with the solvers under test: the move rules below
-read and rebuild `Position` fields directly, without the package's engine
-(a geography move rebuilds the graph that remains), and the matching
-references enumerate edge subsets and check a mate map against the edge
-list, without the package's matchers.
+The game-tree references walk the package's reference rules,
+`mgg.kernel.legal_moves` and `apply_move`, which read and rebuild
+`Position` fields directly and share no code with the engine behind the
+solvers.  The matching references enumerate edge subsets and check a mate
+map against the edge list, without the package's matchers.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 from mgg.graphs import Graph, build_graph
-from mgg.kernel import Convention, Move, Position
+from mgg.kernel import Convention, Position, apply_move, legal_moves
 from mgg.matching import Matching
 from mgg.search import Policy, StrategyBreakdown
-
-
-def legal_moves(p: Position) -> list[Move]:
-    """The moves of `p`, ascending by destination, then by new weight."""
-    g, cur = p.graph, p.current
-    nbrs = g.adjacency[cur]
-    if p.variant == "nimg-rm":
-        # with no neighbour at all the pointer stays put
-        return [Move(v, k) for v in nbrs or (cur,) for k in range(p.weights[cur])]
-    if p.variant == "nimg-mr":
-        return [Move(v, k) for v in nbrs for k in range(p.weights[v])]
-    if p.variant == "vgeo":
-        return [Move(v) for v in nbrs if v != cur]
-    return [Move(v) for v in nbrs]
-
-
-def apply_move(p: Position, m: Move) -> Position:
-    """The position after `m`, which must be one of legal_moves(p)."""
-    if p.variant in ("nimg-rm", "nimg-mr"):
-        lowered = p.current if p.variant == "nimg-rm" else m.to
-        weights = list(p.weights)
-        weights[lowered] = m.k
-        return replace(p, current=m.to, weights=tuple(weights))
-    g, cur = p.graph, p.current
-    if p.variant == "vgeo":  # the departed vertex loses every edge
-        edges = [e for e in g.edges if cur not in e]
-    else:  # the crossed edge goes
-        crossed = (cur, m.to) if g.directed else (min(cur, m.to), max(cur, m.to))
-        edges = [e for e in g.edges if e != crossed]
-    return replace(p, graph=Graph(g.n, tuple(edges), g.directed), current=m.to)
 
 
 def naive_outcome(p: Position, c: Convention) -> str:

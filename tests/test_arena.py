@@ -15,7 +15,7 @@ from mgg.arena import (
     write_counterexample,
 )
 from mgg.graphs import build_graph
-from mgg.kernel import Convention, Move, Position, _Engine, legal_moves
+from mgg.kernel import Convention, Move, Position, _Engine, apply_move, legal_moves
 from mgg.polysolve import (
     solve_bipartite_rm_misere,
     solve_loops_rm_misere,
@@ -24,8 +24,7 @@ from mgg.polysolve import (
 )
 from mgg.reductions import InfeasibleGrid
 from mgg.search import BITSET_CAP, Outcome, Policy, StrategyBreakdown, solve
-from oracles import apply_move, count_reachable, naive_certify
-from oracles import legal_moves as oracle_moves
+from oracles import count_reachable, naive_certify
 from policies import exhaustive_policy
 from strategies import any_fresh_position
 
@@ -249,12 +248,12 @@ def test_matching_policies_certify_without_decoding_a_position(monkeypatch):
 
 def _certifier_nodes(p, choose):
     """(distinct (position, policy to move) nodes, non-terminal positions with
-    the policy to move) of `choose` from `p`, walked with the rules oracle."""
+    the policy to move) of `choose` from `p`, walked with the reference rules."""
     root = (p, True)
     seen, stack, policy_positions = {root}, [root], set()
     while stack:
         q, policy_to_move = stack.pop()
-        moves = oracle_moves(q)
+        moves = legal_moves(q)
         if moves and policy_to_move:
             policy_positions.add(q)
             moves = [choose(q)]

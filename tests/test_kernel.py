@@ -25,6 +25,19 @@ def is_terminal(p):
     return not engine.move_bits(engine.root)
 
 
+def engine_apply(p, m):
+    """`apply_move` through the engine, as `mgg play` checks a move."""
+    engine = _Engine(p)
+    return engine.position(engine.after(engine.root, m))
+
+
+#: The reference rules and the engine both reject an illegal move.
+APPLIERS = pytest.mark.parametrize("apply", [
+    pytest.param(apply_move, id="reference"),
+    pytest.param(engine_apply, id="engine"),
+])
+
+
 def hub_position():
     # hub `a` holds four tokens and is adjacent to u, b, c; u-b closes a cycle
     g = build_graph("undirected", 4, [(0, 1), (0, 2), (1, 2), (1, 3)])
@@ -137,23 +150,24 @@ def test_egeo_loop_traversal():
     assert is_terminal(q)
 
 
-def test_apply_rejects_illegal_moves():
+@APPLIERS
+def test_apply_rejects_illegal_moves(apply):
     g = build_graph("undirected", 3, [(0, 1)])
     p = Position("nimg-rm", g, 0, (2, 1, 1))
     for bad in (Move(2, 0), Move(1, 2), Move(1, -1), Move(1)):
         with pytest.raises(IllegalMoveError):
-            apply_move(p, bad)
+            apply(p, bad)
     with pytest.raises(IllegalMoveError):
-        apply_move(Position("vgeo", build_graph("directed", 2, [(0, 1)]), 0), Move(0))
+        apply(Position("vgeo", build_graph("directed", 2, [(0, 1)]), 0), Move(0))
     mr = Position("nimg-mr", g, 0, (2, 1, 1))
     for bad in (Move(1, 1), Move(2, 0), Move(0, 0), Move(1)):
         with pytest.raises(IllegalMoveError):
-            apply_move(mr, bad)
+            apply(mr, bad)
     eg = Position("egeo", g, 0)
-    used = apply_move(eg, Move(1))
+    used = apply(eg, Move(1))
     for pos, bad in ((eg, Move(1, 0)), (eg, Move(2)), (used, Move(0)), (used, Move(1))):
         with pytest.raises(IllegalMoveError):  # a weight, a non-edge, a used edge
-            apply_move(pos, bad)
+            apply(pos, bad)
 
 
 def test_legal_moves_is_linear_in_its_output():
@@ -166,15 +180,16 @@ def test_legal_moves_is_linear_in_its_output():
     assert elapsed < 5
 
 
-def test_apply_and_terminal_do_not_enumerate_moves():
+@APPLIERS
+def test_apply_and_terminal_do_not_enumerate_moves(apply):
     # 3e6 moves at the pointer: listing them would take hundreds of MiB
     p = Position("nimg-rm", build_graph("undirected", 2, [(0, 1)]), 0, (3_000_000, 1))
     tracemalloc.start()
     try:
         terminal = is_terminal(p)
-        q = apply_move(p, Move(1, 2_999_999))
+        q = apply(p, Move(1, 2_999_999))
         with pytest.raises(IllegalMoveError):
-            apply_move(p, Move(1, 3_000_000))
+            apply(p, Move(1, 3_000_000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -144,12 +144,13 @@ def test_matching_is_deterministic():
 
 def test_covered_examples():
     edge = build_graph("undirected", 2, [(0, 1)])
-    assert covered_by_all_maximum_matchings(edge, 0)
+    assert covered_by_all_maximum_matchings(edge, 0, max_matching_general(edge))
     path = build_graph("undirected", 3, [(0, 1), (1, 2)])
     assert covered_by_all_oracle(path, 0) is False  # enumeration oracle
     assert covered_by_all_oracle(path, 1) is True
-    assert not covered_by_all_maximum_matchings(path, 0)
-    assert covered_by_all_maximum_matchings(path, 1)
+    m = max_matching_general(path)
+    assert not covered_by_all_maximum_matchings(path, 0, m)
+    assert covered_by_all_maximum_matchings(path, 1, m)
 
 
 @settings(max_examples=200, deadline=None)
@@ -158,8 +159,9 @@ def test_covered_matches_enumeration(g):
     live = [e for e in g.edges if e[0] != e[1]]
     if len(live) > 14:
         return
+    m = max_matching_general(g)
     for u in range(g.n):
-        assert covered_by_all_maximum_matchings(g, u) == covered_by_all_oracle(g, u)
+        assert covered_by_all_maximum_matchings(g, u, m) == covered_by_all_oracle(g, u)
 
 
 def _disjoint_union(g, h):

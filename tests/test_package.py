@@ -1,13 +1,16 @@
 """Each `mgg` module is the one home of the names it defines.
 
 Code imports a name from the module that defines it, never through a
-module that merely imports it, and a bare `import mgg` loads the eight
+module that merely imports it (the tests' own helper modules, such as
+`oracles`, included), and a bare `import mgg` loads the eight
 library modules that `perfbench/` reads from `sys.modules`, but not the CLI.
 The package holds only what the CLI and the benchmark use: every name it
 defines is used elsewhere in the package or named in `perfbench/`, and
 every method or property of a package class is read as an attribute
 elsewhere in the package or as a `.name` in `perfbench/`, unless it is a
-dunder or overrides a base class.
+dunder or overrides a base class.  The reference rules,
+`kernel.legal_moves` and `kernel.apply_move`, share no code with the
+engine they check.
 """
 
 import ast
@@ -22,6 +25,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 LIBRARY = ("arena", "graphs", "kernel", "matching", "polysolve", "posfile",
            "reductions", "search")
+#: The tests' helper modules, imported by bare name (`from oracles import ...`).
+HELPERS = {path.stem: path for path in (ROOT / "tests").glob("*.py")
+           if not path.stem.startswith("test_")}
 
 
 def _defined_by(node: ast.stmt) -> set[str]:
@@ -40,8 +46,9 @@ def _defined(path: Path) -> set[str]:
 
 
 def _imports(path: Path):
-    """(module, name) of each `from .module import name` in a package file
-    and each `from mgg.module import name` elsewhere."""
+    """(module, name) of each `from .module import name` in a package file,
+    each `from mgg.module import name` elsewhere and each import from a
+    test helper module."""
     for node in ast.walk(ast.parse(path.read_text())):
         if not isinstance(node, ast.ImportFrom) or not node.module:
             continue
@@ -49,6 +56,8 @@ def _imports(path: Path):
             module = node.module
         elif node.level == 0 and node.module.startswith("mgg."):
             module = node.module.removeprefix("mgg.")
+        elif node.level == 0 and node.module in HELPERS:
+            module = node.module
         else:
             continue
         for alias in node.names:
@@ -57,7 +66,7 @@ def _imports(path: Path):
 
 def test_every_imported_name_comes_from_the_module_that_defines_it():
     package = sorted((SRC / "mgg").glob("*.py"))
-    defined = {path.stem: _defined(path) for path in package}
+    defined = {path.stem: _defined(path) for path in package + list(HELPERS.values())}
     strays = [
         f"{path.relative_to(ROOT)}: {name} from {module}"
         for path in package + sorted((ROOT / "tests").glob("*.py"))
@@ -125,3 +134,16 @@ def test_every_package_method_is_used_in_the_package_or_the_benchmark():
                 if not any(a.attr == name and id(a) not in inside for a in attributes):
                     unused.append(f"{path.relative_to(ROOT)}: {cls.name}.{name}")
     assert unused == []
+
+
+def test_reference_rules_share_no_code_with_the_engine():
+    # the bodies of legal_moves and apply_move name no engine, rule set or closure
+    kernel = ast.parse((SRC / "mgg" / "kernel.py").read_text())
+    functions = {node.name: node for node in kernel.body if isinstance(node, ast.FunctionDef)}
+    engine = {"_Engine", "_RULES", "_nimg_labels"} | {f for f in functions if f.endswith("_rules")}
+    closures = {"move_bits", "child", "encode", "move"}
+    shared = [f"{name}: {n.id}" if isinstance(n, ast.Name) else f"{name}: .{n.attr}"
+              for name in ("legal_moves", "apply_move") for n in ast.walk(functions[name])
+              if isinstance(n, ast.Name) and n.id in engine
+              or isinstance(n, ast.Attribute) and n.attr in closures]
+    assert shared == []

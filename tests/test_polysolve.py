@@ -301,8 +301,9 @@ def _count_calls(monkeypatch):
 def test_each_matching_solve_runs_one_maximum_matching(monkeypatch):
     # one maximum matching and one coverage query per solve and per probe of
     # the loops policy, on the position's graph or, for the bipartite and
-    # loops solvers, on one induced subgraph; a weight-one move of the loops
-    # policy needs the matching only; no solver preprocesses through a Position
+    # loops solvers, on one induced subgraph, which the bipartite solver takes
+    # from preprocess_positive; a weight-one move of the loops policy needs
+    # the matching only
     from mgg.polysolve import _loops_outcome
 
     calls = _count_calls(monkeypatch)
@@ -328,6 +329,8 @@ def test_each_matching_solve_runs_one_maximum_matching(monkeypatch):
             criterion = [f"max_matching_{matcher}", "covered_by_all_maximum_matchings"]
             if solver in (solve_bipartite_rm_misere, solve_loops_rm_misere):
                 criterion.insert(0, "induced_subgraph")
+            if solver is solve_bipartite_rm_misere:
+                criterion.insert(0, "preprocess_positive")
             assert calls == criterion, solver.__name__
             if solver is solve_loops_rm_misere:
                 calls.clear()

@@ -7,9 +7,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mgg.graphs import build_graph
-from mgg.kernel import CapacityError, Convention, Move, Position, _Engine
+from mgg.kernel import (
+    CapacityError,
+    Convention,
+    IllegalMoveError,
+    Move,
+    Position,
+    _Engine,
+    apply_move,
+    legal_moves,
+)
 from mgg.search import Outcome, solve, solve_with_table
-from oracles import apply_move, count_reachable, legal_moves, naive_outcome
+from oracles import count_reachable, naive_outcome
 from policies import exhaustive_policy
 from strategies import any_fresh_position, geo_positions, nimg_positions
 
@@ -142,17 +151,6 @@ def _children(engine, key):
 
 @settings(max_examples=300, deadline=None)
 @given(played_positions())
-def test_engine_moves_agree_with_kernel(p):
-    engine = _Engine(p)
-    key = engine.root
-    pairs = zip(engine.decode(key), _children(engine, key), strict=True)
-    decoded = [(m, engine.position(k)) for m, k in pairs]
-    expected = [(m, apply_move(p, m)) for m in legal_moves(p)]
-    assert decoded == expected
-
-
-@settings(max_examples=300, deadline=None)
-@given(played_positions())
 def test_engine_move_decodes_each_bit(p):
     engine = _Engine(p)
     key = engine.root
@@ -160,6 +158,37 @@ def test_engine_move_decodes_each_bit(p):
     by_bit = [engine.move(key, i) for i in range(bits.bit_length()) if bits >> i & 1]
     assert by_bit == legal_moves(p)
     assert engine.first(key) == (by_bit[0] if by_bit else None)
+    # each bit's child is the position its move leads to under the reference
+    children = [engine.position(k) for k in _children(engine, key)]
+    assert children == [apply_move(p, m) for m in by_bit]
+
+
+def _near_misses(p):
+    """Move shapes around `p`'s moves: each vertex id and one past either
+    end, with no weight and with each weight from -1 to one past the
+    largest.  They take in every legal move, and k = w, k = -1, a weight on
+    a geography move, none on a nimg move, a non-neighbour, the token's own
+    vertex and, a few plies in, an edge already crossed."""
+    top = max(p.weights) + 1 if p.weights else 0
+    return [Move(to, k) for to in range(-1, p.graph.n + 1)
+            for k in (None, *range(-1, top + 1))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(played_positions())
+def test_engine_legality_agrees_with_reference(p):
+    engine = _Engine(p)
+    accepted = []
+    for m in _near_misses(p):
+        try:
+            expected = apply_move(p, m)
+        except IllegalMoveError:
+            with pytest.raises(IllegalMoveError):
+                engine.after(engine.root, m)
+        else:
+            accepted.append(m)
+            assert engine.position(engine.after(engine.root, m)) == expected
+    assert accepted == legal_moves(p)
 
 
 def test_principal_move_builds_one_child_at_a_time():
