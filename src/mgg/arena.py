@@ -159,14 +159,14 @@ def verify_strategy(
             except StrategyBreakdown:
                 return False
             i = encode(key, move)
-            if i is None or not bits >> i & 1:  # not a legal move here
+            if i is None:  # not a legal move here
                 return False
             bits = 1 << i
         # the policy's one move, or every reply in canonical order
         side = policy_to_move ^ 1
         while bits:
             bit = bits & -bits
-            node = child(key, bit) << 1 | side
+            node = child(key, bit.bit_length() - 1) << 1 | side
             if node not in seen:
                 seen.add(node)
                 stack.append(node)

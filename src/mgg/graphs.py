@@ -118,6 +118,40 @@ def bipartition(g: Graph) -> Bipartition | None:
     )
 
 
+def cut_vertices(g: Graph) -> frozenset[int]:
+    """Vertices whose removal adds a component: one iterative DFS (Tarjan, 1972)."""
+    if g.directed:
+        raise ValueError("cut_vertices is defined for undirected graphs")
+    adj = g.adjacency
+    disc, low, hits, t = [0] * g.n, [0] * g.n, [0] * g.n, 0  # disc 0: unvisited
+    for root in range(g.n):
+        if disc[root]:
+            continue
+        t = disc[root] = low[root] = t + 1
+        hits[root] = -1  # a root needs two DFS children
+        u, it = root, iter(adj[root])
+        stack = [(u, it)]
+        while stack:
+            for v in it:
+                if not disc[v]:
+                    t = disc[v] = low[v] = t + 1
+                    u, it = v, iter(adj[v])
+                    stack.append((u, it))
+                    break
+                if disc[v] < low[u]:  # a back edge (or the tree edge up)
+                    low[u] = disc[v]
+            else:  # u is done: fold its low into its DFS parent's
+                stack.pop()
+                if stack:
+                    lu = low[u]
+                    u, it = stack[-1]
+                    if lu < low[u]:
+                        low[u] = lu
+                    if lu >= disc[u]:  # no back edge from u's subtree above u
+                        hits[u] += 1
+    return frozenset(u for u, h in enumerate(hits) if h > 0)
+
+
 def induced_subgraph(g: Graph, keep) -> Graph:
     """The graph on the same vertex ids with only the edges inside `keep`.
 

@@ -23,7 +23,7 @@ engine packs every position reachable from a root into one int,
 ``payload << SH | cur`` with ``SH = max(1, (n-1).bit_length())`` bits for
 the token:
 
-* vgeo -- the payload is the live-vertex bitset;
+* vgeo -- the live-vertex bitset, pruned at cut vertices (see `_Engine`);
 * egeo -- the live-arc bitset, bit ``i`` standing for ``graph.edges[i]``;
 * nimg games -- the weights, vertex ``v`` in the ``B``-bit field at
   ``B*v``, where ``B`` is the bit length of the root's largest weight
@@ -32,9 +32,9 @@ the token:
 Each variant gives four closures: ``move_bits(key)``, an int whose set bits
 are the legal moves, lowest bit canonically first (the destination for
 vgeo, the arc index for egeo, ``j << B | k`` for the j-th target and new
-weight ``k`` for nimg); ``child(key, bit)``, the key one move leads to;
-``encode(key, move)``, the move's bit index, or None when no move of that
-shape exists; and ``move(key, i)``, the `Move` of bit index ``i``.
+weight ``k`` for nimg); ``child(key, i)``, the key the move of bit index
+``i`` leads to; ``encode(key, move)``, that index, or None when the move
+is illegal at ``key``; and ``move(key, i)``, the `Move` of bit index ``i``.
 The solver in `mgg.search`, the certifier in `mgg.arena` and `mgg play`
 each walk one engine from their root; the tests check the engine against
 the reference rules.
@@ -51,7 +51,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
-from .graphs import Graph, WeightMap, validate_weights
+from .graphs import Graph, WeightMap, cut_vertices, validate_weights
 
 NIMG_RM = "nimg-rm"
 NIMG_MR = "nimg-mr"
@@ -117,25 +117,41 @@ class Position:
 
 def _vgeo_rules(e: _Engine):
     """Move bits are destination bits; the departed vertex leaves the mask."""
-    adj, sh, cm = e.graph.adjacency, e.sh, e.cur_mask
+    g, adj, sh, cm = e.graph, e.graph.adjacency, e.sh, e.cur_mask
     # a loop is no move: the token's own vertex is never a destination
-    nbrs = [sum(1 << v for v in adj[u] if v != u) for u in range(e.graph.n)]
+    nbrs = [sum(1 << v for v in adj[u] if v != u) for u in range(g.n)]
     # the token's vertex is live, so subtracting drop[u] clears its bit and the token
-    drop = [(1 << (u + sh)) + u for u in range(e.graph.n)]
+    drop = [(1 << (u + sh)) + u for u in range(g.n)]
+    cuts = frozenset() if g.directed else cut_vertices(g)
 
     def move_bits(key):
         return nbrs[key & cm] & (key >> sh)
 
-    def child(key, bit):
-        return key - drop[key & cm] + bit.bit_length() - 1
+    def step(key, i):
+        return key - drop[key & cm] + i
+
+    def prune(key, i):
+        cur = key & cm
+        if cur not in cuts:
+            return key - drop[cur] + i
+        # flood from i through the live vertices; what stays in rest is stranded
+        todo = 1 << i
+        rest = (key >> sh) - (1 << cur) - todo
+        while todo:
+            bit = todo & -todo
+            found = nbrs[bit.bit_length() - 1] & rest
+            rest ^= found
+            todo ^= bit | found
+        return key - drop[cur] - (rest << sh) + i
 
     def encode(key, m):
-        return m.to if m.k is None and m.to >= 0 else None
+        live = m.k is None and m.to >= 0 and nbrs[key & cm] >> m.to & key >> (sh + m.to) & 1
+        return m.to if live else None
 
     def move(key, i):
         return Move(i)
 
-    return move_bits, child, encode, move
+    return move_bits, prune if cuts else step, encode, move  # no cut vertex: no test per child
 
 
 def _egeo_rules(e: _Engine):
@@ -150,20 +166,22 @@ def _egeo_rules(e: _Engine):
         out[a] |= 1 << i
         if not g.directed:
             out[b] |= 1 << i
-    # arc i leads from its end u to ends[i] - u (a loop leads back to u)
+    # arc i leads from its end u to ends[i] - u (a loop leads back to u); cross[i]
+    # clears its live bit and adds its ends to the token
     ends = [a + b for a, b in g.edges]
+    cross = [ends[i] - (1 << (i + sh)) for i in range(len(ends))]
 
     def move_bits(key):
         return out[key & cm] & (key >> sh)
 
-    def child(key, bit):
-        return key - (bit << sh) + ends[bit.bit_length() - 1] - 2 * (key & cm)
+    def child(key, i):
+        return key + cross[i] - 2 * (key & cm)
 
     def encode(key, m):
         cur = key & cm
         arc = (cur, m.to) if g.directed else (min(cur, m.to), max(cur, m.to))
         i = bisect_left(g.edges, arc)
-        return i if m.k is None and g.edges[i:i + 1] == (arc,) else None
+        return i if m.k is None and g.edges[i:i + 1] == (arc,) and key >> (sh + i) & 1 else None
 
     def move(key, i):
         return Move(ends[i] - (key & cm))
@@ -171,17 +189,19 @@ def _egeo_rules(e: _Engine):
     return move_bits, child, encode, move
 
 
-def _nimg_labels(e: _Engine, targets):
-    """encode and move for the nimg bit ``j << B | k``: target j, weight k."""
-    b, cm = e.field, e.cur_mask
+def _nimg_labels(e: _Engine, targets, lowers_target: bool):
+    """encode and move for the nimg bit ``j << B | k``: target j, weight k;
+    `encode` reads the field of the vertex the move lowers, not the move bits."""
+    b, cm, off = e.field, e.cur_mask, e.offsets
     stride = 1 << b
 
     def encode(key, m):
         ts = targets[key & cm]
         j = bisect_left(ts, m.to)
-        if m.k is None or not 0 <= m.k < stride or ts[j:j + 1] != (m.to,):
+        if m.k is None or ts[j:j + 1] != (m.to,):
             return None
-        return j << b | m.k
+        w = key >> off[m.to if lowers_target else key & cm] & (stride - 1)
+        return j << b | m.k if 0 <= m.k < w else None
 
     def move(key, i):
         return Move(targets[key & cm][i >> b], i & (stride - 1))
@@ -203,13 +223,12 @@ def _nimg_rm_rules(e: _Engine):
         cur = key & cm
         return ((1 << (key >> off[cur] & fm)) - 1) * spread[cur]
 
-    def child(key, bit):
+    def child(key, i):
         cur = key & cm
-        i = bit.bit_length() - 1
         o = off[cur]
         return key - (((key >> o & fm) - (i & fm)) << o) - cur + targets[cur][i >> b]
 
-    return (move_bits, child) + _nimg_labels(e, targets)
+    return (move_bits, child) + _nimg_labels(e, targets, False)
 
 
 def _nimg_mr_rules(e: _Engine):
@@ -226,14 +245,13 @@ def _nimg_mr_rules(e: _Engine):
             bits |= ((1 << (key >> o & fm)) - 1) << s
         return bits
 
-    def child(key, bit):
+    def child(key, i):
         cur = key & cm
-        i = bit.bit_length() - 1
         v = adj[cur][i >> b]
         o = off[v]
         return key - (((key >> o & fm) - (i & fm)) << o) - cur + v
 
-    return (move_bits, child) + _nimg_labels(e, adj)
+    return (move_bits, child) + _nimg_labels(e, adj, True)
 
 
 _RULES = {VGEO: _vgeo_rules, EGEO: _egeo_rules, NIMG_RM: _nimg_rm_rules, NIMG_MR: _nimg_mr_rules}
@@ -250,8 +268,13 @@ class _Engine:
     size.  The solver and the certifier
     (`mgg.arena.verify_strategy`) walk children by popping `move_bits`
     lowest first into `child`; the certifier checks a policy's move with
-    `encode` against the same bits, and decodes a `position` only when a
-    policy asks for one.
+    `encode`, and decodes a `position` only when a policy asks for one.
+
+    A vgeo child that leaves a cut vertex (`graphs.cut_vertices`) of an
+    undirected root keeps only the live vertices the token can still reach.
+    Sound: `move_bits` reads only the token's neighbours, so an unreachable
+    vertex affects no later move or terminal; a key that keeps one is only
+    a missed merge.  Directed graphs are never pruned.
     """
 
     def __init__(self, root: Position):
@@ -281,18 +304,18 @@ class _Engine:
         child, rem = self.child, self.move_bits(key)
         while rem:
             bit = rem & -rem
-            if wins is None or wins(child(key, bit)):
+            if wins is None or wins(child(key, bit.bit_length() - 1)):
                 return self.move(key, bit.bit_length() - 1)
             rem ^= bit
         return None
 
     def after(self, key: int, m: Move) -> int:
         """Key of the position `m` leads to; IllegalMoveError if `m` is
-        illegal at `key`."""
+        illegal at `key`.  It builds no move bits."""
         i = self.encode(key, m)
-        if i is None or not self.move_bits(key) >> i & 1:
+        if i is None:
             raise IllegalMoveError(f"illegal {self.variant} move {m}")
-        return self.child(key, 1 << i)
+        return self.child(key, i)
 
     def position(self, key: int) -> Position:
         """The position a key encodes: for geography, the graph that remains."""

@@ -3,7 +3,8 @@
 Each query builds one `mgg.kernel._Engine` from its root position; the move
 rules live there, and every reachable position is one packed int key.  The
 search takes one child at a time from ``move_bits(key)`` (``rem & -rem``), so
-a won state never builds the children after its first losing one.  It runs
+a won state never builds the children after its first losing one.  A table
+entry is one key; vgeo keys merge at cut vertices (`mgg.kernel._Engine`).  It runs
 iteratively, so deep playouts cannot hit the interpreter recursion limit.
 Every query builds its own transposition table and drops it with the answer
 (`solve_with_table` hands it back for inspection); no two queries share one.
@@ -102,7 +103,7 @@ def _solve_packed(engine: _Engine, root_key: int, mover_wins_terminal: bool, bud
         while rem:
             bit = rem & -rem
             rem ^= bit
-            c = child(key, bit)
+            c = child(key, bit.bit_length() - 1)
             r = get(c)
             if r is None:
                 frame[1] = rem

@@ -69,6 +69,40 @@ def count_reachable(p: Position, limit: int = 10_000) -> int:
     return len(seen)
 
 
+def reachable_part(q: Position) -> Position:
+    """`q` with only the edges of the vertices the token can reach
+    (breadth-first from `q.current`); every vertex id stays."""
+    adj = q.graph.adjacency
+    seen, queue = {q.current}, [q.current]
+    while queue:
+        for v in adj[queue.pop()]:
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    edges = tuple(e for e in q.graph.edges if e[0] in seen and e[1] in seen)
+    return Position(q.variant, Graph(q.graph.n, edges, q.graph.directed), q.current, q.weights)
+
+
+def is_cut_vertex(g: Graph, v: int) -> bool:
+    """Brute force: removing `v` and its edges raises the number of
+    components of the undirected graph `g`."""
+
+    def components(without):
+        label = list(range(g.n))
+
+        def find(x):
+            while label[x] != x:
+                x = label[x]
+            return x
+
+        for a, b in g.edges:
+            if without not in (a, b):
+                label[find(a)] = find(b)
+        return sum(find(x) == x for x in range(g.n) if x != without)
+
+    return components(v) > components(None)
+
+
 def all_matchings(g: Graph) -> list[frozenset[tuple[int, int]]]:
     """Every matching of g (loops skipped), as edge sets."""
     edges = [e for e in g.edges if e[0] != e[1]]

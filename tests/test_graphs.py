@@ -7,9 +7,10 @@ from mgg.graphs import (
     bipartition,
     build_graph,
     connected_component,
+    cut_vertices,
     induced_subgraph,
 )
-from oracles import odd_closed_walk_exists
+from oracles import is_cut_vertex, odd_closed_walk_exists
 from strategies import graphs
 
 
@@ -64,6 +65,21 @@ def test_adjacency_matches_the_set_definition(g):
         if not g.directed:
             nbrs[v].add(u)
     assert g.adjacency == tuple(tuple(sorted(s)) for s in nbrs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs(max_n=9, allow_loops=True))
+def test_cut_vertices_match_brute_force(g):
+    assert cut_vertices(g) == {v for v in range(g.n) if is_cut_vertex(g, v)}
+
+
+def test_cut_vertices_examples():
+    # two triangles sharing vertex 2, a pendant 5 on 4, a loop on 0, isolated 6
+    g = build_graph("undirected", 7, [(0, 0), (0, 1), (0, 2), (1, 2), (2, 3), (2, 4),
+                                      (3, 4), (4, 5)])
+    assert cut_vertices(g) == {2, 4}
+    with pytest.raises(ValueError):
+        cut_vertices(build_graph("directed", 2, [(0, 1)]))
 
 
 def test_bipartition_path():

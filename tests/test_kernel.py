@@ -1,6 +1,7 @@
 import random
 import time
 import tracemalloc
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -196,6 +197,42 @@ def test_apply_and_terminal_do_not_enumerate_moves(apply):
     assert not terminal
     assert q == Position("nimg-rm", p.graph, 1, (2_999_999, 1))
     assert peak < 8 << 20
+
+
+def test_engine_after_builds_no_move_bits():
+    # the move bits of this position span 3e6 bits, 375 kB
+    p = Position("nimg-rm", build_graph("undirected", 2, [(0, 1)]), 0, (3_000_000, 1))
+    engine = _Engine(p)
+    tracemalloc.start()
+    try:
+        keys = [engine.after(engine.root, Move(1, k)) for k in (0, 2_999_999)]
+        for bad in (Move(1, 3_000_000), Move(0, 0), Move(1, -1)):
+            with pytest.raises(IllegalMoveError):
+                engine.after(engine.root, bad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [engine.position(k).weights for k in keys] == [(0, 1), (2_999_999, 1)]
+    assert peak < 64 << 10
+
+
+@pytest.mark.parametrize("variant, weights, line, bad", [
+    ("egeo", None, [Move(1), Move(2)], Move(1)),  # the crossed edge
+    ("vgeo", None, [Move(1), Move(2)], Move(0)),  # the departed vertex
+    ("nimg-rm", (2, 2, 2), [Move(1, 0), Move(0, 1)], Move(1, 0)),  # an emptied token vertex
+    ("nimg-mr", (2, 2, 2), [Move(1, 0), Move(0, 0)], Move(1, 0)),  # an emptied target
+])
+def test_engine_after_reads_the_played_key(variant, weights, line, bad):
+    g = build_graph("undirected", 3, [(0, 1), (0, 2), (1, 2)])
+    engine = _Engine(Position(variant, g, 0, weights))
+    key = engine.root
+    for m in line:
+        key = engine.after(key, m)
+    # `bad` is legal from the token's vertex on the root's graph and weights
+    apply_move(Position(variant, g, key & engine.cur_mask, weights), bad)
+    for reject in (partial(engine.after, key), partial(apply_move, engine.position(key))):
+        with pytest.raises(IllegalMoveError):
+            reject(bad)
 
 
 def test_position_validation():

@@ -3,7 +3,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mgg.graphs import build_graph
@@ -17,8 +17,9 @@ from mgg.kernel import (
     apply_move,
     legal_moves,
 )
+from mgg.reductions import reduce_vgeo_dir_to_undir_misere
 from mgg.search import Outcome, solve, solve_with_table
-from oracles import count_reachable, naive_outcome
+from oracles import count_reachable, is_cut_vertex, naive_outcome, reachable_part
 from policies import exhaustive_policy
 from strategies import any_fresh_position, geo_positions, nimg_positions
 
@@ -110,6 +111,66 @@ def test_state_key_ignores_removed_vertices():
     assert engine.position(key) == Position("vgeo", build_graph("directed", 3, [(1, 2)]), 1)
 
 
+def test_leaving_a_cut_vertex_drops_the_stranded_part():
+    # a tree: from 1 the token can go to 0, to the path 2-3, or to the path 4-5
+    g = build_graph("undirected", 6, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5)])
+    p = Position("vgeo", g, 1)
+    engine = _Engine(p)
+    key = engine.after(engine.root, Move(2))
+    assert key >> engine.sh == 0b001100  # only 2 and 3 stay live
+    # the decoded position holds only the edges the token can still reach
+    assert engine.position(key) == Position("vgeo", build_graph("undirected", 6, [(2, 3)]), 2)
+    assert apply_move(p, Move(2)).graph.edges == ((2, 3), (4, 5))
+    # leaving 2, a cut vertex too, strands nothing more: 3 stays live
+    assert engine.after(key, Move(3)) >> engine.sh == 0b001000
+
+
+def test_directed_children_keep_every_live_vertex():
+    # 1 splits the underlying graph, but a directed child is never pruned
+    g = build_graph("directed", 6, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (5, 4)])
+    p = Position("vgeo", g, 0)
+    engine = _Engine(p)
+    frontier = [engine.root]
+    while frontier:
+        key = frontier.pop()
+        cur, bits = key & engine.cur_mask, engine.move_bits(key)
+        for i in range(bits.bit_length()):
+            if bits >> i & 1:
+                c = engine.child(key, i)
+                assert c == key - (1 << (engine.sh + cur)) - cur + i
+                frontier.append(c)
+    after_two = engine.after(engine.after(engine.root, Move(1)), Move(2))
+    assert engine.position(after_two).graph.edges == ((2, 3), (4, 5), (5, 4))
+
+
+@st.composite
+def trees_plus_edges(draw, max_n=8, extra=2):
+    """Undirected vgeo on a random tree plus up to `extra` more edges."""
+    n = draw(st.integers(2, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    more = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    edges |= set(draw(st.lists(st.sampled_from(more), max_size=extra)) if more else ())
+    return build_graph("undirected", n, edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(trees_plus_edges())
+def test_pruned_vgeo_agrees_with_naive_recursion(g):
+    for start in range(g.n):
+        p = Position("vgeo", g, start)
+        for conv in (NORM, MIS):
+            assert solve(p, conv).outcome.value == naive_outcome(p, conv)
+
+
+def test_arc_gadget_target_strands_the_gadgets_it_leaves():
+    # the directed 5-cycle: the target took 18,435 states without pruning
+    g = build_graph("directed", 5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
+    source = solve(Position("vgeo", g, 0), NORM)
+    target = solve(reduce_vgeo_dir_to_undir_misere(g, 0).position, MIS)
+    assert target.outcome is source.outcome is Outcome.P
+    assert target.states_expanded < 2_000
+
+
 def test_bitset_capacity_errors():
     big = build_graph("directed", 129, [(i, i + 1) for i in range(128)])
     with pytest.raises(CapacityError):
@@ -139,12 +200,23 @@ def played_positions(draw):
     return p
 
 
+def _expected_child(root, parent, m):
+    """The reference child of `parent`, a position played from `root`: on
+    undirected vgeo, a move that leaves a cut vertex of the root graph keeps
+    only the part the token can still reach."""
+    q = apply_move(parent, m)
+    if (root.variant == "vgeo" and not root.graph.directed
+            and is_cut_vertex(root.graph, parent.current)):
+        return reachable_part(q)
+    return q
+
+
 def _children(engine, key):
     """Child keys, popping the move bits lowest first with `engine.child`."""
     rem, out = engine.move_bits(key), []
     while rem:
         bit = rem & -rem
-        out.append(engine.child(key, bit))
+        out.append(engine.child(key, bit.bit_length() - 1))
         rem ^= bit
     return out
 
@@ -158,7 +230,7 @@ def test_engine_moves_agree_with_kernel(p):
     moves = [engine.move(key, i) for i in range(bits.bit_length()) if bits >> i & 1]
     pairs = zip(moves, _children(engine, key), strict=True)
     decoded = [(m, engine.position(k)) for m, k in pairs]
-    expected = [(m, apply_move(p, m)) for m in legal_moves(p)]
+    expected = [(m, _expected_child(p, p, m)) for m in legal_moves(p)]
     assert decoded == expected
 
 
@@ -191,7 +263,7 @@ def test_engine_legality_agrees_with_reference(p):
     accepted = []
     for m in _near_misses(p):
         try:
-            expected = apply_move(p, m)
+            expected = _expected_child(p, p, m)
         except IllegalMoveError:
             with pytest.raises(IllegalMoveError):
                 engine.after(engine.root, m)
@@ -349,6 +421,7 @@ def test_engine_tables_satisfy_negamax_recursion(p, conv):
 
 @settings(max_examples=200, deadline=None)
 @given(played_positions())
+@example(Position("vgeo", build_graph("undirected", 6, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5)]), 1))
 def test_engine_children_decode_to_oracle_children(p):
     engine = _Engine(p)
     root = engine.root
@@ -357,7 +430,7 @@ def test_engine_children_decode_to_oracle_children(p):
     while frontier and len(seen) < 2000:
         key = frontier.pop()
         parent, children = engine.position(key), _children(engine, key)
-        expected = [apply_move(parent, m) for m in legal_moves(parent)]
+        expected = [_expected_child(p, parent, m) for m in legal_moves(parent)]
         assert [engine.position(c) for c in children] == expected
         for c in children:
             if c not in seen:
