@@ -127,10 +127,7 @@ def _vgeo_rules(e: _Engine):
     def move_bits(key):
         return nbrs[key & cm] & (key >> sh)
 
-    def step(key, i):
-        return key - drop[key & cm] + i
-
-    def prune(key, i):
+    def child(key, i):
         cur = key & cm
         if cur not in cuts:
             return key - drop[cur] + i
@@ -151,7 +148,7 @@ def _vgeo_rules(e: _Engine):
     def move(key, i):
         return Move(i)
 
-    return move_bits, prune if cuts else step, encode, move  # no cut vertex: no test per child
+    return move_bits, child, encode, move
 
 
 def _egeo_rules(e: _Engine):

@@ -58,3 +58,14 @@ def any_fresh_position(max_n=5, wmax=2):
         geo_positions(variant=VGEO, max_n=max_n),
         geo_positions(variant=EGEO, max_n=max_n),
     )
+
+
+@st.composite
+def trees_plus_edges(draw, max_n=8, extra=2):
+    """Undirected vgeo on a random tree plus up to `extra` more edges, from
+    any start: cut vertices everywhere, so the engine prunes often."""
+    n = draw(st.integers(2, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    more = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    edges |= set(draw(st.lists(st.sampled_from(more), max_size=extra)) if more else ())
+    return Position(VGEO, build_graph(UNDIRECTED, n, edges), draw(st.integers(0, n - 1)))

@@ -21,7 +21,7 @@ from mgg.reductions import reduce_vgeo_dir_to_undir_misere
 from mgg.search import Outcome, solve, solve_with_table
 from oracles import count_reachable, is_cut_vertex, naive_outcome, reachable_part
 from policies import exhaustive_policy
-from strategies import any_fresh_position, geo_positions, nimg_positions
+from strategies import any_fresh_position, geo_positions, nimg_positions, trees_plus_edges
 
 MIS = Convention.MISERE
 NORM = Convention.NORMAL
@@ -141,25 +141,6 @@ def test_directed_children_keep_every_live_vertex():
                 frontier.append(c)
     after_two = engine.after(engine.after(engine.root, Move(1)), Move(2))
     assert engine.position(after_two).graph.edges == ((2, 3), (4, 5), (5, 4))
-
-
-@st.composite
-def trees_plus_edges(draw, max_n=8, extra=2):
-    """Undirected vgeo on a random tree plus up to `extra` more edges."""
-    n = draw(st.integers(2, max_n))
-    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
-    more = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
-    edges |= set(draw(st.lists(st.sampled_from(more), max_size=extra)) if more else ())
-    return build_graph("undirected", n, edges)
-
-
-@settings(max_examples=100, deadline=None)
-@given(trees_plus_edges())
-def test_pruned_vgeo_agrees_with_naive_recursion(g):
-    for start in range(g.n):
-        p = Position("vgeo", g, start)
-        for conv in (NORM, MIS):
-            assert solve(p, conv).outcome.value == naive_outcome(p, conv)
 
 
 def test_arc_gadget_target_strands_the_gadgets_it_leaves():
@@ -310,8 +291,8 @@ def test_budget_bounds_work_and_memory_on_heavy_weights():
     assert peak < 8 << 20
 
 
-@settings(max_examples=150, deadline=None)
-@given(any_fresh_position(max_n=4, wmax=2))
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(any_fresh_position(max_n=4, wmax=2), trees_plus_edges()))
 def test_agrees_with_naive_recursion(p):
     assume(count_reachable(p, limit=60) <= 60)
     for conv in Convention:
