@@ -19,8 +19,9 @@ All four apply one criterion path: one maximum matching of the position's
 graph, or of the subgraph the bipartite and loops solvers induce on its
 vertex ids, and one coverage query gives the outcome.  For the other three,
 `_criterion` also builds the winning policy, which `_follow`s the matching
-in the position's own ids; the loops solver builds its own.  The matchers
-skip loops, so no subgraph needs its loops stripped.
+in the position's own ids.  The loops policy decides a node with at most one
+matching: it moves to the mate when every maximum matching covers the vertex,
+and otherwise stalls on the loop.  The matchers skip loops.
 
 `poly_solve` routes a position to the strongest applicable solver.  Inputs
 outside a solver's class raise NotApplicable so callers can fall back to the
@@ -172,8 +173,8 @@ def solve_bipartite_rm_misere(p: Position) -> tuple[Outcome, Policy | None]:
 def _light_matching(g: Graph, weights, vertex: int):
     """(subgraph, maximum matching) of the light component, on `g`'s ids.
 
-    The light component is the connected component of `vertex`, which holds
-    one token, among the vertices holding exactly one token.  The subgraph
+    The light component is `vertex` together with the vertices holding
+    exactly one token that it reaches through such vertices.  The subgraph
     keeps every vertex of `g` and only the edges inside the component.
     """
     comp, stack = {vertex}, [vertex]
@@ -186,24 +187,19 @@ def _light_matching(g: Graph, weights, vertex: int):
     return sub, max_matching_general(sub)
 
 
-def _loops_outcome(g: Graph, weights, vertex: int) -> Outcome:
-    """Outcome of the all-loops game with the pointer on `vertex`."""
-    if weights[vertex] != 1:
-        return Outcome.N  # no token: the mover has won; two or more: stall
-    sub, matching = _light_matching(g, weights, vertex)
-    covered = covered_by_all_maximum_matchings(sub, vertex, matching)
-    return Outcome.N if covered else Outcome.P
-
-
 def solve_loops_rm_misere(p: Position) -> tuple[Outcome, Policy | None]:
     """Misere remove-then-move Nim with a loop on every vertex.
 
-    Two or more tokens under the pointer win: either some drain-and-move
-    reaches a losing position for the opponent, or reducing to one token and
-    stalling on the loop forces the opponent to make that losing move.  With
-    a single token the game equals the weight-one game on the light component
-    of the start, since stepping onto a heavy vertex hands the opponent a won
-    position.
+    Let L be the light component of the pointer's vertex u, M one of its
+    maximum matchings.  From one token the game is vertex geography on L:
+    stepping onto an empty or heavy vertex, or onto the loop, hands the
+    opponent a won position.  So one token wins iff every maximum matching
+    of L covers u, by moving to u's mate in M.  Two or more tokens always
+    win.  If every maximum matching of L covers u, nu(L - u) = nu(L) - 1,
+    so M minus u-M(u) is maximum in L - u and misses M(u): the opponent on
+    M(u) is at a P position.  Otherwise an opponent on u holding one token
+    is at a P position, so stalling on the loop wins; with no neighbour
+    holding one token the policy stalls without a matching.
     """
     if p.variant != NIMG_RM:
         raise ValueError("solve_loops_rm_misere applies to nimg-rm positions")
@@ -214,21 +210,24 @@ def solve_loops_rm_misere(p: Position) -> tuple[Outcome, Policy | None]:
     loops = p.graph.loop_vertices
     if any(w and v not in loops for v, w in enumerate(p.weights)):
         raise NotApplicable("loop missing on a token-bearing vertex")
-    if _loops_outcome(p.graph, p.weights, p.current) is Outcome.P:
-        return Outcome.P, None
+    if p.weights[p.current] == 1:
+        sub, matching = _light_matching(p.graph, p.weights, p.current)
+        if not covered_by_all_maximum_matchings(sub, p.current, matching):
+            return Outcome.P, None
 
     def choose(current: int, position: Callable[[], Position]) -> Move:
         q = position()
         g, w = q.graph, q.weights
-        if w[current] == 1:  # the weight-one game on the light component
-            _, matching = _light_matching(g, w, current)
-            return _follow(matching)(current, position)
-        drained = w[:current] + (0,) + w[current + 1:]
-        for v in g.adjacency[current]:
-            # Move(v, 0) leads to the opponent on v with `drained`
-            if v != current and _loops_outcome(g, drained, v) is Outcome.P:
-                return Move(v, 0)
-        return Move(current, 1)  # stall: keep one token, stay on the loop
+        heavy = w[current] > 1
+        if heavy and all(w[v] != 1 for v in g.adjacency[current]):
+            return Move(current, 1)  # stall: keep one token, stay on the loop
+        sub, matching = _light_matching(g, w, current)
+        if heavy and not covered_by_all_maximum_matchings(sub, current, matching):
+            return Move(current, 1)
+        mate = matching.mate[current]
+        if mate is None:
+            raise StrategyBreakdown(f"current vertex {current} is unmatched")
+        return Move(mate, 0)
 
     return Outcome.N, Policy(choose, "loop-stalling")
 

@@ -333,7 +333,7 @@ def test_verify_strategy_agrees_with_tree_oracle(p, conv, salt):
         assert verify_strategy(p, conv, policy) == naive_certify(p, conv, policy)
 
 
-def test_extracted_strategies_certify_across_random_suite():
+def test_exhaustive_policies_certify_across_random_suite():
     import random as _r
 
     rng = _r.Random(31)

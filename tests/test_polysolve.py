@@ -239,6 +239,7 @@ def test_loops_random_suite():
     lone = build_graph("undirected", 1, [(0, 0)])
     _, anywhere = solve_loops_rm_misere(Position("nimg-rm", lone, 0, (2,)))
     rng = random.Random(123)
+    positions = []
     for _ in range(150):
         n = rng.randrange(1, 6)
         cands = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -247,7 +248,17 @@ def test_loops_random_suite():
         )
         g = build_graph("undirected", n, edges)
         w = tuple(rng.randrange(1, 4) for _ in range(n))
-        p = Position("nimg-rm", g, rng.randrange(n), w)
+        positions.append(Position("nimg-rm", g, rng.randrange(n), w))
+    for _ in range(1000):  # larger, and an empty vertex may lack its loop
+        n = rng.randrange(1, 8)
+        cands = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        w = [rng.randrange(4) for _ in range(n)]
+        s = rng.randrange(n)
+        w[s] = max(w[s], 1)
+        edges = [(v, v) for v in range(n) if w[v] or rng.random() < 0.5]
+        edges += rng.sample(cands, rng.randrange(len(cands) + 1))
+        positions.append(Position("nimg-rm", build_graph("undirected", n, edges), s, tuple(w)))
+    for p in positions:
         out, policy = solve_loops_rm_misere(p)
         assert out == solve(p, MIS).outcome
         if out is Outcome.N:
@@ -299,17 +310,17 @@ def _count_calls(monkeypatch):
 
 
 def test_each_matching_solve_runs_one_maximum_matching(monkeypatch):
-    # one maximum matching and one coverage query per solve and per probe of
+    # one maximum matching and one coverage query per solve and per node of
     # the loops policy, on the position's graph or, for the bipartite and
     # loops solvers, on one induced subgraph, which the bipartite solver takes
-    # from preprocess_positive; a weight-one move of the loops policy needs
-    # the matching only
-    from mgg.polysolve import _loops_outcome
-
+    # from preprocess_positive; a move of the loops policy from one token
+    # needs the matching only, and one from two or more tokens with no
+    # neighbour holding one token needs nothing
     calls = _count_calls(monkeypatch)
     rng = random.Random(7)
     outcomes = set()
     weight_one_moves = 0
+    heavy_probes = {True: 0, False: 0}
     for _ in range(40):
         g = random_connected_bipartite(rng.randrange(2, 8), rng)
         s = rng.randrange(g.n)
@@ -333,16 +344,23 @@ def test_each_matching_solve_runs_one_maximum_matching(monkeypatch):
                 criterion.insert(0, "preprocess_positive")
             assert calls == criterion, solver.__name__
             if solver is solve_loops_rm_misere:
-                calls.clear()
-                _loops_outcome(p.graph, p.weights, p.current)
-                assert calls == criterion
                 if policy is not None:  # N with one token under the pointer
                     calls.clear()
                     policy.at(p)
                     assert calls == criterion[:2]
                     weight_one_moves += 1
+                for w in (heavy, (1,) * g.n):  # two tokens on the start
+                    two = Position("nimg-rm", looped, s, w[:s] + (2,) + w[s + 1:])
+                    calls.clear()
+                    _, policy = solve_loops_rm_misere(two)
+                    assert calls == []
+                    policy.at(two)
+                    light = any(w[v] == 1 for v in g.adjacency[s])
+                    assert calls == (criterion if light else [])
+                    heavy_probes[light] += 1
     assert outcomes == {Outcome.N, Outcome.P}
     assert weight_one_moves
+    assert all(heavy_probes.values())
 
 
 # ------------------------------------- empty vertices inside the matching classes

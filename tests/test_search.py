@@ -55,7 +55,7 @@ def test_principal_move_only_on_nonterminal_wins():
     assert report.principal_move is None
 
 
-def test_state_key_injective_on_weights():
+def test_engine_key_injective_on_weights():
     g = build_graph("undirected", 2, [(0, 1)])
     p = Position("nimg-rm", g, 0, (2, 2))
     engine = _Engine(p)
@@ -66,7 +66,7 @@ def test_state_key_injective_on_weights():
         assert engine.position(key) == q
 
 
-def test_state_key_canonical_across_move_orders():
+def test_engine_key_canonical_across_move_orders():
     g = build_graph("undirected", 3, [(0, 1), (1, 2)])
     p = Position("nimg-rm", g, 1, (5, 5, 5))
 
@@ -98,7 +98,7 @@ def test_state_key_canonical_across_move_orders():
     assert key(engine, (1,), (3,)) != key(engine, (2,), (3,))
 
 
-def test_state_key_ignores_removed_vertices():
+def test_engine_key_drops_departed_vertex():
     g = build_graph("directed", 3, [(0, 1), (1, 2)])
     p = Position("vgeo", g, 0)
     engine = _Engine(p)
@@ -359,7 +359,7 @@ def test_solve_is_deterministic():
     assert solve(p, MIS) == solve(p, MIS)
 
 
-def test_extracted_strategy_never_loses():
+def test_exhaustive_policy_never_loses():
     g = build_graph("undirected", 4, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)])
     p = Position("nimg-rm", g, 0, (2, 1, 1, 2))
     assert solve(p, MIS).outcome is Outcome.N
