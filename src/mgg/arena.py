@@ -11,10 +11,9 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from functools import partial
 
 from .graphs import DIRECTED, UNDIRECTED, Graph, build_graph
-from .kernel import NIMG_VARIANTS, VARIANTS, Convention, Position, _Engine
+from .kernel import NIMG_VARIANTS, VARIANTS, Convention, KeyView, Position, _Engine
 from .posfile import serialize_position
 from .reductions import (
     REDUCTIONS, SOURCE_CONVENTION, TARGET_CONVENTION, Grid, ReductionOutput)
@@ -122,10 +121,13 @@ def verify_strategy(
     """Certify a claimed winning policy against every adversary line.
 
     Fixes the policy's move wherever the policy is to move and branches over
-    all replies, visiting each distinct (key, side to move) node once.
-    A node is one int, ``key << 1 | policy_to_move``: the engine's packed
-    key with the side to move in bit 0.  The policy gets the token's vertex,
-    and the node's `Position` is decoded only if the policy asks for it.
+    all replies.  A node is the engine's packed key, and each side keeps its
+    own `seen` set, so each distinct (key, side to move) node is visited
+    once.  Only adversary nodes wait on the stack: a policy node is settled
+    where the walk meets it, by its terminal test, one question to the
+    policy and an `encode` check of the answer, which leaves one adversary
+    child.  The policy gets the token's vertex and a `KeyView` of the node,
+    so a `Position` is decoded only if it asks for one.
     True iff every line ends at a terminal where the adversary-to-move loses
     under `c`.  False when some line does not, when the policy plays an
     illegal move, or when it raises StrategyBreakdown, the one exception
@@ -135,43 +137,51 @@ def verify_strategy(
     """
     engine = _Engine(p)
     move_bits, child, encode = engine.move_bits, engine.child, engine.encode
-    position, cur_mask = engine.position, engine.cur_mask
+    choose, view, cur_mask = policy.choose, KeyView(engine), engine.cur_mask
     # the player to move at a terminal loses exactly under normal play
     stuck_loses = c is Convention.NORMAL
-    root = engine.root << 1 | 1
-    seen = {root}
-    stack = [root]
+    met = [engine.root]  # policy nodes met and not yet settled
+    policy_seen, adversary_seen = set(met), set()
+    stack = []  # adversary nodes
     expanded = 0
-    while stack:
-        node = stack.pop()
-        expanded += 1
-        if expanded > budget:
-            return None
-        key, policy_to_move = node >> 1, node & 1
-        bits = move_bits(key)
-        if not bits:
-            if policy_to_move == stuck_loses:
-                return False
-            continue
-        if policy_to_move:
+    while True:
+        for key in met:
+            expanded += 1
+            if expanded > budget:
+                return None
+            if not move_bits(key):
+                if stuck_loses:
+                    return False
+                continue
+            view.key = key
             try:
-                move = policy.choose(key & cur_mask, partial(position, key))
+                move = choose(key & cur_mask, view)
             except StrategyBreakdown:
                 return False
             i = encode(key, move)
             if i is None:  # not a legal move here
                 return False
-            bits = 1 << i
-        # the policy's one move, or every reply in canonical order
-        side = policy_to_move ^ 1
-        while bits:
+            key = child(key, i)
+            if key not in adversary_seen:
+                adversary_seen.add(key)
+                stack.append(key)
+        if not stack:
+            return True
+        key = stack.pop()
+        expanded += 1
+        if expanded > budget:
+            return None
+        bits = move_bits(key)
+        if not bits and not stuck_loses:
+            return False
+        met = []
+        while bits:  # every reply, in canonical order
             bit = bits & -bits
-            node = child(key, bit.bit_length() - 1) << 1 | side
-            if node not in seen:
-                seen.add(node)
-                stack.append(node)
             bits ^= bit
-    return True
+            reply = child(key, bit.bit_length() - 1)
+            if reply not in policy_seen:
+                policy_seen.add(reply)
+                met.append(reply)
 
 
 def run_reduction_grid(

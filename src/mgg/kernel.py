@@ -265,7 +265,8 @@ class _Engine:
     size.  The solver and the certifier
     (`mgg.arena.verify_strategy`) walk children by popping `move_bits`
     lowest first into `child`; the certifier checks a policy's move with
-    `encode`, and decodes a `position` only when a policy asks for one.
+    `encode`, and shows a policy each node through one `KeyView`, which
+    decodes a `position` only when the policy asks for one.
 
     A vgeo child that leaves a cut vertex (`graphs.cut_vertices`) of an
     undirected root keeps only the live vertices the token can still reach.
@@ -327,6 +328,31 @@ class _Engine:
         else:
             live = [e for i, e in enumerate(g.edges) if payload >> i & 1]
         return Position(self.variant, Graph(g.n, tuple(live), g.directed), cur)
+
+
+class KeyView:
+    """The node at `key` of an engine, as a policy sees it (`mgg.search.Policy`).
+
+    Calling the view decodes the full `Position`.  In the nimg games, whose
+    play never changes the graph, `graph` is the root's graph and
+    ``weight(v)`` reads vertex v's token count from its field of the key.
+    The certifier keeps one view per engine and sets `key` before each
+    question, so a policy reads the view only during the call.
+    """
+
+    __slots__ = ("key", "graph", "_engine", "_offsets", "_field_mask")
+
+    def __init__(self, engine: _Engine):
+        self.key, self._engine = engine.root, engine
+        if engine.variant in NIMG_VARIANTS:
+            self.graph, self._offsets = engine.graph, engine.offsets
+            self._field_mask = (1 << engine.field) - 1
+
+    def __call__(self) -> Position:
+        return self._engine.position(self.key)
+
+    def weight(self, v: int) -> int:
+        return self.key >> self._offsets[v] & self._field_mask
 
 
 def legal_moves(p: Position) -> list[Move]:

@@ -170,20 +170,28 @@ def solve_bipartite_rm_misere(p: Position) -> tuple[Outcome, Policy | None]:
     return _criterion(sub, p.current, max_matching_bipartite(sub, b))
 
 
-def _light_matching(g: Graph, weights, vertex: int):
-    """(subgraph, maximum matching) of the light component, on `g`'s ids.
-
-    The light component is `vertex` together with the vertices holding
-    exactly one token that it reaches through such vertices.  The subgraph
-    keeps every vertex of `g` and only the edges inside the component.
-    """
+def _light_component(adj, weight, vertex: int) -> frozenset[int]:
+    """`vertex` together with the vertices holding exactly one token that it
+    reaches through such vertices; `weight(v)` is v's token count."""
     comp, stack = {vertex}, [vertex]
     while stack:
-        for v in g.adjacency[stack.pop()]:
-            if weights[v] == 1 and v not in comp:
+        for v in adj[stack.pop()]:
+            if v not in comp and weight(v) == 1:
                 comp.add(v)
                 stack.append(v)
-    sub = induced_subgraph(g, comp)
+    return frozenset(comp)
+
+
+def _light_matching(g: Graph, comp) -> tuple[Graph, Matching]:
+    """(subgraph, maximum matching) of the light component `comp`, on `g`'s ids.
+
+    The subgraph keeps every vertex of `g` and the edges inside `comp`, read
+    from the component's own adjacency.
+    """
+    adj = g.adjacency
+    # a list, not a generator: tuple() resizes a generator's tuple step by
+    # step, and in the certifier's loop that made the process RSS creep
+    sub = Graph(g.n, tuple([(u, v) for u in comp for v in adj[u] if u <= v and v in comp]))
     return sub, max_matching_general(sub)
 
 
@@ -200,6 +208,11 @@ def solve_loops_rm_misere(p: Position) -> tuple[Outcome, Policy | None]:
     M(u) is at a P position.  Otherwise an opponent on u holding one token
     is at a P position, so stalling on the loop wins; with no neighbour
     holding one token the policy stalls without a matching.
+
+    The policy reads the graph and weights of the position it is asked
+    about, never the whole position.  It keeps each light component's
+    matching, and each coverage answer, while it is asked about one graph:
+    both depend on the component's vertex set alone.
     """
     if p.variant != NIMG_RM:
         raise ValueError("solve_loops_rm_misere applies to nimg-rm positions")
@@ -211,19 +224,35 @@ def solve_loops_rm_misere(p: Position) -> tuple[Outcome, Policy | None]:
     if any(w and v not in loops for v, w in enumerate(p.weights)):
         raise NotApplicable("loop missing on a token-bearing vertex")
     if p.weights[p.current] == 1:
-        sub, matching = _light_matching(p.graph, p.weights, p.current)
+        comp = _light_component(p.graph.adjacency, p.weights.__getitem__, p.current)
+        sub, matching = _light_matching(p.graph, comp)
         if not covered_by_all_maximum_matchings(sub, p.current, matching):
             return Outcome.P, None
+    # component -> (subgraph, matching, {vertex: covered by every maximum
+    # matching?}), on the graph last asked about
+    graph, light = p.graph, {}
 
     def choose(current: int, position: Callable[[], Position]) -> Move:
-        q = position()
-        g, w = q.graph, q.weights
-        heavy = w[current] > 1
-        if heavy and all(w[v] != 1 for v in g.adjacency[current]):
+        nonlocal graph
+        if position.graph is not graph:
+            graph = position.graph
+            light.clear()
+        weight = position.weight
+        heavy = weight(current) > 1
+        comp = _light_component(graph.adjacency, weight, current)
+        if heavy and len(comp) == 1:
             return Move(current, 1)  # stall: keep one token, stay on the loop
-        sub, matching = _light_matching(g, w, current)
-        if heavy and not covered_by_all_maximum_matchings(sub, current, matching):
-            return Move(current, 1)
+        entry = light.get(comp)
+        if entry is None:
+            entry = light[comp] = (*_light_matching(graph, comp), {})
+        sub, matching, covered = entry
+        if heavy:
+            cover = covered.get(current)
+            if cover is None:
+                cover = covered[current] = covered_by_all_maximum_matchings(
+                    sub, current, matching)
+            if not cover:
+                return Move(current, 1)
         mate = matching.mate[current]
         if mate is None:
             raise StrategyBreakdown(f"current vertex {current} is unmatched")

@@ -52,14 +52,18 @@ class StrategyBreakdown(RuntimeError):
 class Policy:
     """Deterministic move advice for the winning side of an N position.
 
-    ``choose(current, position)`` gets the token's vertex at once; calling
-    ``position()`` builds the full `Position`, so a policy calls it only when
-    it needs more than the current vertex.  It returns a `Move` or raises
-    StrategyBreakdown; it need not check that the move is legal, since the
-    certifier (`mgg.arena.verify_strategy`) rejects an illegal one and the
-    CLI asks only at an N position.  The answer must be a pure function of
-    that position: the certifier asks once per distinct engine key and
-    reuses the answer wherever that key recurs.
+    ``choose(current, position)`` gets the token's vertex at once.  Calling
+    ``position()`` builds the full `Position`.  In the nimg games
+    ``position.graph`` and ``position.weight(v)`` give the graph and vertex
+    v's token count without building it.  A policy reads `position` only
+    during the call and asks for no more than it needs: the
+    matching-following policies read only the current vertex, and the
+    loop-stalling policy reads the graph and weights.  `choose` returns a
+    `Move` or raises StrategyBreakdown; it need not check that the move is
+    legal, since the certifier (`mgg.arena.verify_strategy`) rejects an
+    illegal one and the CLI asks only at an N position.  The answer must be
+    a pure function of that position: the certifier asks once per distinct
+    engine key and reuses the answer wherever that key recurs.
     """
 
     choose: Callable[[int, Callable[[], Position]], Move]
@@ -67,7 +71,22 @@ class Policy:
 
     def at(self, q: Position) -> Move:
         """The policy's move at `q`."""
-        return self.choose(q.current, lambda: q)
+        return self.choose(q.current, _Given(q))
+
+
+class _Given:
+    """`Policy.at`'s view of a position it already holds."""
+
+    __slots__ = ("position", "graph")
+
+    def __init__(self, q: Position):
+        self.position, self.graph = q, q.graph
+
+    def __call__(self) -> Position:
+        return self.position
+
+    def weight(self, v: int) -> int:
+        return self.position.weights[v]
 
 
 def _root_engine(p: Position) -> _Engine:

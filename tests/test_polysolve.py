@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 
 from mgg.arena import verify_strategy
-from mgg.graphs import build_graph
+from mgg.graphs import Graph, build_graph, induced_subgraph
 from mgg.kernel import Convention, Move, Position
 from mgg.polysolve import (
     NotApplicable,
@@ -16,7 +16,7 @@ from mgg.polysolve import (
     solve_vgeo_undirected_normal,
     solve_weight1_rm_misere,
 )
-from mgg.search import Outcome, StrategyBreakdown, solve
+from mgg.search import Outcome, Policy, StrategyBreakdown, solve
 from oracles import naive_certify, odd_closed_walk_exists, random_connected_bipartite
 from strategies import nimg_positions
 
@@ -266,6 +266,91 @@ def test_loops_random_suite():
             assert verify_strategy(p, MIS, anywhere) is True
 
 
+def _answer(policy, q):
+    try:
+        return policy.at(q)
+    except StrategyBreakdown:
+        return None
+
+
+def test_loops_policy_cached_answers_equal_fresh_ones():
+    # one policy per graph lives through every start and weight vector drawn
+    # on it, so its cached matchings and coverage answers meet many
+    # positions; at every node the certifier asks about, it answers as a
+    # policy built afresh for that question
+    rng = random.Random(29)
+    asked_total = 0
+    for _ in range(60):
+        n = rng.randrange(1, 9)
+        cands = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = [(v, v) for v in range(n)] + rng.sample(cands, rng.randrange(len(cands) + 1))
+        g = build_graph("undirected", n, edges)
+        lasting = None
+        for _ in range(6):
+            w = [rng.randrange(4) for _ in range(n)]
+            s = rng.randrange(n)
+            w[s] = max(w[s], 1)
+            p = Position("nimg-rm", g, s, tuple(w))
+            out, policy = solve_loops_rm_misere(p)
+            assert out == solve(p, MIS).outcome
+            if out is Outcome.P:
+                continue
+            lasting = lasting or policy
+            asked = []
+
+            def choose(current, position, _choose=policy.choose):
+                asked.append(position())
+                return _choose(current, position)
+
+            assert verify_strategy(p, MIS, Policy(choose, policy.provenance)) is True
+            assert verify_strategy(p, MIS, lasting) is True
+            for q in asked:
+                fresh = solve_loops_rm_misere(p)[1]
+                assert _answer(lasting, q) == _answer(fresh, q) == _answer(policy, q)
+            asked_total += len(asked)
+    assert asked_total > 1000
+
+
+def test_loops_answer_builds_only_the_light_component(monkeypatch):
+    # n = 2000, and the light component of the token's vertex is one edge:
+    # the answer builds graphs with the component's edges only, and reads
+    # them from the component's adjacency rather than scanning every edge
+    # of the graph as induced_subgraph does
+    import mgg.graphs
+    import mgg.polysolve
+    rng = random.Random(5)
+    n = 2000
+    edges = {(v, v) for v in range(n)}
+    while len(edges) < n + 6000:
+        a, b = rng.randrange(n), rng.randrange(n)
+        edges.add((min(a, b), max(a, b)))
+    g = build_graph("undirected", n, edges)
+    u = 17
+    v = g.adjacency[u][0] if g.adjacency[u][0] != u else g.adjacency[u][1]
+    w = [2] * n
+    w[u] = w[v] = 1
+    p = Position("nimg-rm", g, u, tuple(w))
+    out, policy = solve_loops_rm_misere(p)
+    assert out is Outcome.N
+    component_edges = len(induced_subgraph(g, {u, v}).edges)
+    assert component_edges == 3  # the edge and the two loops
+    built = []
+    post_init = Graph.__post_init__
+
+    def recorded(graph):
+        post_init(graph)
+        built.append(len(graph.edges))
+
+    def scan(*args):
+        raise AssertionError("induced_subgraph scans every edge of the graph")
+
+    monkeypatch.setattr(Graph, "__post_init__", recorded)
+    for mod in (mgg.graphs, mgg.polysolve):
+        monkeypatch.setattr(mod, "induced_subgraph", scan)
+    assert policy.at(p) == Move(v, 0)
+    assert built and max(built) <= component_edges
+
+
 def test_loop_moves_never_help_at_weight_one():
     # tested property behind stripping loops in the weight-one branch: a loop
     # move hands the opponent a misere win, so adding loops never flips the
@@ -312,10 +397,12 @@ def _count_calls(monkeypatch):
 def test_each_matching_solve_runs_one_maximum_matching(monkeypatch):
     # one maximum matching and one coverage query per solve and per node of
     # the loops policy, on the position's graph or, for the bipartite and
-    # loops solvers, on one induced subgraph, which the bipartite solver takes
-    # from preprocess_positive; a move of the loops policy from one token
-    # needs the matching only, and one from two or more tokens with no
-    # neighbour holding one token needs nothing
+    # loops solvers, on a subgraph of it: the bipartite solver takes one
+    # induced subgraph from preprocess_positive, and the loops solver builds
+    # its light component's graph itself; a first move of the loops policy
+    # from one token needs the matching only, one from two or more tokens
+    # with no neighbour holding one token needs nothing, and the policy
+    # answers a repeated question without a matcher call
     calls = _count_calls(monkeypatch)
     rng = random.Random(7)
     outcomes = set()
@@ -338,16 +425,17 @@ def test_each_matching_solve_runs_one_maximum_matching(monkeypatch):
             outcome, policy = solver(p)
             outcomes.add(outcome)
             criterion = [f"max_matching_{matcher}", "covered_by_all_maximum_matchings"]
-            if solver in (solve_bipartite_rm_misere, solve_loops_rm_misere):
-                criterion.insert(0, "induced_subgraph")
             if solver is solve_bipartite_rm_misere:
-                criterion.insert(0, "preprocess_positive")
+                criterion[:0] = ["preprocess_positive", "induced_subgraph"]
             assert calls == criterion, solver.__name__
             if solver is solve_loops_rm_misere:
                 if policy is not None:  # N with one token under the pointer
                     calls.clear()
                     policy.at(p)
-                    assert calls == criterion[:2]
+                    assert calls == criterion[:1]
+                    calls.clear()
+                    policy.at(p)
+                    assert calls == []
                     weight_one_moves += 1
                 for w in (heavy, (1,) * g.n):  # two tokens on the start
                     two = Position("nimg-rm", looped, s, w[:s] + (2,) + w[s + 1:])
@@ -357,6 +445,9 @@ def test_each_matching_solve_runs_one_maximum_matching(monkeypatch):
                     policy.at(two)
                     light = any(w[v] == 1 for v in g.adjacency[s])
                     assert calls == (criterion if light else [])
+                    calls.clear()
+                    policy.at(two)
+                    assert calls == []
                     heavy_probes[light] += 1
     assert outcomes == {Outcome.N, Outcome.P}
     assert weight_one_moves
